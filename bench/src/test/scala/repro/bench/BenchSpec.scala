@@ -5,9 +5,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Harness.RunResult
 
 /** Base for the table-reproduction bench suites: renders each table to the
-  * test output AND to `/root/repo/bench-results/<name>.txt` (collected into
-  * EXPERIMENTS.md), and provides robust shape-assertion helpers — the suites
-  * assert orderings and rough factors, not absolute times.
+  * test output AND to `bench-results/<name>.txt` at the root of the checkout
+  * (collected into EXPERIMENTS.md), and provides robust shape-assertion
+  * helpers — the suites assert orderings and rough factors, not absolute
+  * times.
   */
 trait BenchSpec extends AnyFunSuite {
 
@@ -15,7 +16,7 @@ trait BenchSpec extends AnyFunSuite {
   def record(name: String, t: Experiments.Table): Experiments.Table = {
     val out = t.render()
     println(out)
-    val dir = Paths.get("/root/repo/bench-results")
+    val dir = Paths.get(sys.props.getOrElse("repro.benchResults", "bench-results"))
     Files.createDirectories(dir)
     Files.write(dir.resolve(s"$name.txt"), (out + "\n").getBytes("UTF-8"))
     t

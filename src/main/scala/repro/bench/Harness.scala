@@ -44,15 +44,8 @@ object Harness {
     def overallAvgMs: Double = if (processed == 0) Double.NaN else totalMs / processed
   }
 
-  private def memoryOf(e: ContinuousEngine): Long = {
-    val roots = e match {
-      case t: TricEngine    => t.memoryRoots
-      case i: InvEngine     => i.memoryRoots
-      case g: GraphDbEngine => g.memoryRoots
-      case other            => other.memoryRoots
-    }
-    roots.map(SizeEstimator.estimate).sum
-  }
+  private def memoryOf(e: ContinuousEngine): Long =
+    e.memoryRoots.map(SizeEstimator.estimate).sum
 
   /** Index `queries` into a fresh engine, replay `stream`, and report
     * per-segment average answering time at each checkpoint edge count.
@@ -109,16 +102,6 @@ object Harness {
     }
     RunResult(engine.name, indexMs, cps.result(), timedOut, engine.satisfied.size, memoryOf(engine),
       spentNs / 1e6, i)
-  }
-
-  /** Pretty-print one table: rows = algorithms, columns = checkpoints. */
-  def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    println(s"\n=== $title ===")
-    val all = header +: rows
-    val w = header.indices.map(c => all.map(_(c).length).max)
-    all.foreach { r =>
-      println(r.zipWithIndex.map { case (cell, c) => cell.padTo(w(c), ' ') }.mkString("  "))
-    }
   }
 
   def fmt(d: Double): String =

@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.engine.{ContinuousEngine, JoinCache, PathEval, Rel}
+import repro.engine.{ContinuousEngine, JoinCache, Rel}
+import repro.engine.PathEval.FinalJoin
 import repro.graph.Edge
-import repro.query.CoveringPaths.Path
 import repro.query.{CoveringPaths, GEdge, Generic, QueryPattern}
 
 import scala.collection.mutable
@@ -22,15 +22,21 @@ import scala.collection.mutable
   * just the update tuple (incremental, not a full re-join), and the delta is
   * propagated down the sub-trie — a sub-trie whose delta join comes up empty
   * is pruned. Queries registered at reached path-end nodes are then answered
-  * by joining their covering-path views (applying the variable-equality
-  * constraints the genericization dropped).
+  * by the shared [[FinalJoin]], seeded with the delta (applying the
+  * variable-equality constraints the genericization dropped).
+  *
+  * Every hash join — parent step, propagation and final join — takes its
+  * build structure from the engine's [[JoinCache]], which alone decides
+  * between TRIC and TRIC+.
   *
   * @param caching true = TRIC+ — reuse and incrementally refresh the hash-join
   *                build structures instead of rebuilding them per join.
   */
 final class TricEngine(caching: Boolean) extends ContinuousEngine {
 
-  def name: String = if (caching) "TRIC+" else "TRIC"
+  private[repro] val jc = new JoinCache(caching)
+
+  def name: String = if (jc.enabled) "TRIC+" else "TRIC"
 
   /** One trie node: a generic edge at a given depth. Its materialized view
     * has one column per path position 0..depth+1. Query ids are registered at
@@ -56,12 +62,11 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     */
   val edgeMat = mutable.HashMap.empty[GEdge, Rel]
 
-  /** queryInd: query id → (original pattern, covering paths, last trie node
-    * of each path) — everything needed for the final per-query join.
+  /** queryInd: query id → (original pattern, its final join over the
+    * covering paths, last trie node of each path) — everything needed for
+    * the final per-query join.
     */
-  val queryInd = mutable.LinkedHashMap.empty[Int, (QueryPattern, Vector[Path], Vector[Node])]
-
-  private[repro] val jc = new JoinCache(caching)
+  val queryInd = mutable.LinkedHashMap.empty[Int, (QueryPattern, FinalJoin, Vector[Node])]
 
   def indexQuery(q: QueryPattern): Unit = {
     val paths = CoveringPaths.cover(q)
@@ -78,7 +83,7 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
       node.queries += q.id
       node
     }
-    queryInd(q.id) = (q, paths, lasts)
+    queryInd(q.id) = (q, new FinalJoin(paths), lasts)
   }
 
   private def mkNode(g: GEdge, depth: Int, parent: Node): Node = {
@@ -105,26 +110,14 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     val endDeltas = mutable.LinkedHashMap.empty[Node, Rel]
 
     for (n <- affectedNodes) {
+      // a root's rows are the update itself; a deeper node joins its
+      // parent's view with just the update tuple (parent rows whose tail
+      // vertex is the update's source)
+      val rows =
+        if (n.parent == null) Iterator.single(Array(e.src, e.dst))
+        else jc.index(n.parent.matV, n.depth).probe(e.src).iterator.map(_ :+ e.dst)
       val delta = new Rel(n.depth + 2)
-      if (n.parent == null) {
-        if (n.matV.add(Array(e.src, e.dst))) delta.add(Array(e.src, e.dst))
-      } else {
-        // join the parent's view with just the update tuple: parent rows
-        // whose tail vertex is the update's source. TRIC+ probes a cached
-        // incremental index; TRIC re-scans (rebuilds) per the paper.
-        if (caching) {
-          val pIdx = jc.index(n.parent.matV, n.depth)
-          for (row <- pIdx.probe(e.src)) {
-            val r = row :+ e.dst
-            if (n.matV.add(r)) delta.add(r)
-          }
-        } else {
-          for (row <- n.parent.matV.rows if row(n.depth) == e.src) {
-            val r = row :+ e.dst
-            if (n.matV.add(r)) delta.add(r)
-          }
-        }
-      }
+      rows.foreach(r => if (n.matV.add(r)) delta.add(r))
       if (delta.nonEmpty) propagate(n, delta, endDeltas)
     }
 
@@ -138,73 +131,19 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
       lasts.indices.foreach(i => if (lasts(i) eq node) idxs += i)
     }
     for ((qid, pathIdxs) <- touched) {
-      val (q, paths, lasts) = queryInd(qid)
+      val (_, join, lasts) = queryInd(qid)
       if (lasts.forall(_.matV.nonEmpty)) {
-        val termVecs = paths.map(PathEval.pathTerms)
-        val bs = pathIdxs.iterator.flatMap { t =>
-          finalJoin(qid, t, paths, lasts, termVecs, endDeltas(lasts(t)))
-        }.toSet
+        val bs = pathIdxs.iterator.flatMap(t => join.from(t, endDeltas(lasts(t)), lasts(_).matV, jc)).toSet
         if (bs.nonEmpty) { record(qid, bs); matchedNow += qid }
       }
     }
     matchedNow
   }
 
-  /** The final join for one query, seeded by the delta that reached the end
-    * of covering path `t` (paper Fig. 9 lines 8–13, incremental per Fig. 11):
-    * probe each other path's projected view on the shared variables. TRIC+
-    * reuses the build-phase hash structures across updates (cached,
-    * incrementally refreshed); TRIC rebuilds them per join and discards them,
-    * exactly the §4.2 "Caching" contrast.
-    */
-  private def finalJoin(qid: Int, t: Int, paths: Vector[Path], lasts: Vector[Node],
-                        termVecs: Vector[Vector[repro.query.Term]],
-                        delta: Rel): Set[repro.query.QueryPattern.Binding] = {
-    val deltaProj = PathEval.projectPath(delta, termVecs(t))
-    if (deltaProj.rows.isEmpty) return Set.empty
-    val order = PathEval.orderByConnectivity(termVecs, t)
-
-    var accVars = deltaProj.vars
-    var accRows: mutable.ArrayBuffer[Array[String]] = deltaProj.rows
-    for (i <- order.tail if accRows.nonEmpty) {
-      val proj =
-        if (caching)
-          projCache.getOrElseUpdate((qid, i), new PathEval.IncrementalProjection(lasts(i).matV, termVecs(i)))
-        else new PathEval.IncrementalProjection(lasts(i).matV, termVecs(i))
-      proj.refresh()
-      val pVars   = proj.proj.vars
-      val shared  = pVars.filter(accVars.contains)
-      val pKey    = shared.map(pVars.indexOf)
-      val accKey  = shared.map(accVars.indexOf)
-      val newCols = pVars.zipWithIndex.filterNot { case (n, _) => accVars.contains(n) }
-      val idx =
-        if (caching)
-          projIdxCache.getOrElseUpdate((qid, i, pKey.mkString(",")), new PathEval.ProjIndex(proj, pKey))
-        else new PathEval.ProjIndex(proj, pKey)
-      idx.refresh()
-      val out = new mutable.ArrayBuffer[Array[String]]
-      accRows.foreach { ar =>
-        idx.probe(PathEval.ProjIndex.key(ar, accKey)).foreach { pr =>
-          out += (ar ++ newCols.map { case (_, j) => pr(j) })
-        }
-      }
-      accVars ++= newCols.map(_._1)
-      accRows = out
-    }
-    accRows.iterator.map(r => accVars.zip(r).toMap).toSet
-  }
-
-  /** TRIC+'s cached intermediate structures: projected path views and their
-    * build-phase hash indexes, both refreshed incrementally.
-    */
-  private val projCache   = mutable.HashMap.empty[(Int, Int), PathEval.IncrementalProjection]
-  private val projIdxCache = mutable.HashMap.empty[(Int, Int, String), PathEval.ProjIndex]
-
-  /** Push a delta down the sub-trie, pruning branches whose join is empty.
-    * TRIC+ probes a cached incremental index on the edge view; TRIC performs
-    * a from-scratch hash join (build the small delta, scan the edge view).
-    * Deltas reaching path-end nodes (nodes with registered queries) are
-    * accumulated into `endDeltas` for the final joins.
+  /** Push a delta down the sub-trie, pruning branches whose join is empty:
+    * each child joins the delta with its edge view, probing the view's hash
+    * index from `jc`. Deltas reaching path-end nodes (nodes with registered
+    * queries) are accumulated into `endDeltas` for the final joins.
     */
   private def propagate(n: Node, delta: Rel, endDeltas: mutable.LinkedHashMap[Node, Rel]): Unit = {
     if (n.queries.nonEmpty) {
@@ -213,26 +152,17 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     }
     for (c <- n.children) {
       val childDelta = new Rel(c.depth + 2)
-      if (caching) {
-        val eIdx = jc.index(edgeMat(c.key), 0)
-        for (row <- delta.rows; hit <- eIdx.probe(row(n.depth + 1))) {
-          val r = row :+ hit(1)
-          if (c.matV.add(r)) childDelta.add(r)
-        }
-      } else {
-        val build = delta.rows.groupBy(_(n.depth + 1))
-        jc.builds += 1
-        for (er <- edgeMat(c.key).rows; row <- build.getOrElse(er(0), Nil)) {
-          val r = row :+ er(1)
-          if (c.matV.add(r)) childDelta.add(r)
-        }
+      val eIdx = jc.index(edgeMat(c.key), 0)
+      for (row <- delta.rows; hit <- eIdx.probe(row(n.depth + 1))) {
+        val r = row :+ hit(1)
+        if (c.matV.add(r)) childDelta.add(r)
       }
       if (childDelta.nonEmpty) propagate(c, childDelta, endDeltas)
     }
   }
 
-  /** Structures whose size constitutes the engine's memory footprint. */
-  def memoryRoots: Seq[AnyRef] =
-    Seq(rootInd, edgeInd, edgeMat, queryInd) ++
-      (if (caching) Seq(jc, projCache, projIdxCache) else Seq.empty)
+  /** Structures whose size constitutes the engine's memory footprint: the
+    * trie, its views and whatever the join cache holds for reuse.
+    */
+  def memoryRoots: Seq[AnyRef] = Seq(rootInd, edgeInd, edgeMat, queryInd, jc)
 }

@@ -3,7 +3,7 @@ package repro.engine
 import repro.graph.Edge
 import repro.query.CoveringPaths.Path
 import repro.query.QueryPattern.Binding
-import repro.query.{Generic, GEdge, QueryPattern, Term, Vr}
+import repro.query.{Generic, GEdge, Term, Vr}
 
 import scala.collection.mutable
 
@@ -106,85 +106,56 @@ object PathEval {
     out
   }
 
-  /** Join the per-path relations of one query on their shared variables and
-    * project to full-query bindings (the paper's final join across covering
-    * paths, using the recorded path intersections).
-    *
-    * `startIdx` selects which path relation seeds the join — callers pass the
-    * DELTA relation so the paper's incremental final join starts from the
-    * updated part. Remaining paths join in shared-variable-connectivity
-    * order; each step hash-builds the smaller side, and bindings stay flat
-    * arrays until the end.
+  /** Where a covering path's variables sit in its rows: `eq` as computed by
+    * [[eqClass]], and `pos`, the first position of each distinct variable —
+    * the columns a projection keeps. Layouts key the cached projections, so
+    * paths over the same relation with the same layout share them; the hash
+    * is computed once because every cached probe looks it up.
     */
-  def joinPaths(q: QueryPattern, paths: Vector[Path], rels: Vector[Rel],
-                startIdx: Int = 0): Set[Binding] = {
-    if (rels.exists(_.isEmpty)) return Set.empty
-    val termVecs = paths.map(pathTerms)
-    val order = orderByConnectivity(termVecs, startIdx)
-    joinProjected(order.map(i => projectPath(rels(i), termVecs(i))))
+  final case class Layout(eq: Vector[Int], pos: Vector[Int]) {
+    override val hashCode: Int = (eq, pos).##
   }
 
-  /** A path relation projected to its distinct variables (flat rows, with the
-    * repeated-variable equalities already enforced).
+  /** A path relation projected to its distinct variables, with the
+    * repeated-variable equalities enforced. It keeps an append cursor, so a
+    * cached projection (TRIC+) only processes rows added since its last
+    * refresh — the paper's "cache … intermediate results whenever possible".
     */
-  final case class Projected(vars: Vector[String], rows: mutable.ArrayBuffer[Array[String]])
-
-  def projectPath(rel: Rel, terms: Vector[Term]): Projected = {
-    val p = new IncrementalProjection(rel, terms)
-    p.refresh()
-  }
-
-  /** Projection with an append cursor, so a caching engine (TRIC+) can keep
-    * the projected view across updates and only process newly added rows —
-    * the paper's "cache … intermediate results whenever possible".
-    */
-  final class IncrementalProjection(val rel: Rel, terms: Vector[Term]) {
-    private val eq   = eqClass(terms)
-    private val vars = terms.collect { case Vr(n) => n }.distinct
-    private val pos  = vars.map(n => terms.indexWhere { case Vr(`n`) => true; case _ => false })
-    val proj = Projected(vars, new mutable.ArrayBuffer[Array[String]])
+  final class Projection(val rel: Rel, layout: Layout) {
+    private val pos = layout.pos.toArray
+    val rows   = new mutable.ArrayBuffer[Array[String]]
     private var cursor = 0
 
-    def refresh(): Projected = {
+    def refresh(): this.type = {
       while (cursor < rel.size) {
         val r = rel.rows(cursor)
-        if (consistent(r, eq)) proj.rows += pos.map(r).toArray
+        if (consistent(r, layout.eq)) rows += Rel.select(r, pos)
         cursor += 1
       }
-      proj
+      this
     }
   }
 
-  /** A hash index over a projection's rows on a fixed key-column set, with an
-    * append cursor — the build-phase structure of the final joins, cacheable
-    * across updates by the "+" engines (paper §4.2 Caching).
+  /** A hash index over a projection's rows on the projected columns
+    * `keyCols`, with an append cursor — the build side of the final joins.
     */
-  final class ProjIndex(val source: IncrementalProjection, val keyIdxs: Vector[Int]) {
-    private val idx = mutable.HashMap.empty[String, mutable.ArrayBuffer[Array[String]]]
+  final class ProjIndex(val source: Projection, keyCols: Vector[Int]) {
+    private val ks  = keyCols.toArray
+    private val idx = mutable.HashMap.empty[Rel.Key, mutable.ArrayBuffer[Array[String]]]
     private var cursor = 0
 
     def refresh(): this.type = {
       source.refresh()
-      val rows = source.proj.rows
+      val rows = source.rows
       while (cursor < rows.size) {
         val r = rows(cursor)
-        idx.getOrElseUpdate(ProjIndex.key(r, keyIdxs), new mutable.ArrayBuffer[Array[String]]) += r
+        idx.getOrElseUpdate(Rel.key(r, ks), new mutable.ArrayBuffer[Array[String]]) += r
         cursor += 1
       }
       this
     }
 
-    def probe(k: String): collection.Seq[Array[String]] = idx.getOrElse(k, Rel.noRows)
-  }
-
-  object ProjIndex {
-    def key(r: Array[String], ks: Vector[Int]): String = {
-      if (ks.isEmpty) return ""
-      val sb = new java.lang.StringBuilder
-      var i = 0
-      while (i < ks.size) { if (i > 0) sb.append(' '); sb.append(r(ks(i))); i += 1 }
-      sb.toString
-    }
+    def probe(k: Rel.Key): collection.Seq[Array[String]] = idx.getOrElse(k, Rel.noRows)
   }
 
   /** Seed-first ordering of path relations by shared-variable connectivity
@@ -203,33 +174,61 @@ object PathEval {
     order.toVector
   }
 
-  /** Multi-way hash join of projected path relations in the given order;
-    * each step builds on the smaller side. Rows stay flat arrays; bindings
-    * materialize only at the end.
+  /** The final join of one query across its covering paths (paper Fig. 9
+    * lines 8–13, incremental per Fig. 11) of TRIC(+), INV(+) and INC(+). The
+    * paths' terms are computed when the query is indexed; the rest of the
+    * plan — each path's layout and, per seed path, the probe order and the
+    * key columns of every probe — once, on first use, so that indexing stays
+    * cheap and queries that never reach a final join hold no plan.
     */
-  def joinProjected(ps: Seq[Projected]): Set[Binding] = {
-    if (ps.exists(_.rows.isEmpty)) return Set.empty
-    var acc = ps.head
-    for (p <- ps.tail if acc.rows.nonEmpty) {
-      val shared = p.vars.filter(acc.vars.contains)
-      val accKey = shared.map(acc.vars.indexOf)
-      val pKey   = shared.map(p.vars.indexOf)
-      val newIdx = p.vars.zipWithIndex.filterNot { case (n, _) => acc.vars.contains(n) }
-      def key(r: Array[String], ks: Vector[Int]): String = ks.map(r).mkString(" ")
-      val out = new mutable.ArrayBuffer[Array[String]]
-      if (acc.rows.size <= p.rows.size) {
-        val h = acc.rows.groupBy(key(_, accKey))
-        p.rows.foreach { pr =>
-          h.getOrElse(key(pr, pKey), Nil).foreach(ar => out += (ar ++ newIdx.map { case (_, j) => pr(j) }))
+  final class FinalJoin(val paths: Vector[Path]) {
+    private val terms = paths.map(pathTerms)
+    private lazy val vars = terms.map(_.collect { case Vr(n) => n }.distinct)
+    private lazy val layouts =
+      terms.indices.map(i => Layout(eqClass(terms(i)), vars(i).map(n => terms(i).indexOf(Vr(n)))))
+
+    /** Probe path `path`'s projection, hashed on its `keyCols`, with the
+      * joined row's `accKey` columns; a hit appends the path's `newCols`.
+      */
+    private final class Probe(val path: Int, val keyCols: Vector[Int], val accKey: Array[Int], val newCols: Array[Int])
+
+    /** The probes from seed path `t`, and the variables of a joined row. */
+    private final class Plan(val probes: Vector[Probe], val vars: Vector[String])
+    private val plans = new Array[Plan](paths.size)
+
+    private def plan(t: Int): Plan = {
+      if (plans(t) == null) {
+        var accVars = vars(t)
+        val probes = orderByConnectivity(terms, t).tail.map { i =>
+          val (shared, fresh) = vars(i).indices.partition(j => accVars.contains(vars(i)(j)))
+          val probe = new Probe(i, shared.toVector, shared.map(j => accVars.indexOf(vars(i)(j))).toArray, fresh.toArray)
+          accVars ++= fresh.map(vars(i))
+          probe
         }
-      } else {
-        val h = p.rows.groupBy(key(_, pKey))
-        acc.rows.foreach { ar =>
-          h.getOrElse(key(ar, accKey), Nil).foreach(pr => out += (ar ++ newIdx.map { case (_, j) => pr(j) }))
-        }
+        plans(t) = new Plan(probes, accVars)
       }
-      acc = Projected(acc.vars ++ newIdx.map(_._1), out)
+      plans(t)
     }
-    acc.rows.iterator.map(r => acc.vars.zip(r).toMap).toSet
+
+    /** Join `seed`, rows of path `t` (its delta, or its full relation),
+      * with every other path `i`'s relation `rel(i)`, whose build structures
+      * come from `jc`. Rows stay flat arrays; bindings materialize at the end.
+      */
+    def from(t: Int, seed: Rel, rel: Int => Rel, jc: JoinCache): Set[Binding] = {
+      val pl  = plan(t)
+      var acc = new Projection(seed, layouts(t)).refresh().rows
+      for (p <- pl.probes if acc.nonEmpty) {
+        val idx = jc.projIndex(rel(p.path), layouts(p.path), p.keyCols)
+        val out = new mutable.ArrayBuffer[Array[String]]
+        for (ar <- acc; pr <- idx.probe(Rel.key(ar, p.accKey))) {
+          val r = java.util.Arrays.copyOf(ar, ar.length + p.newCols.length)
+          var j = 0
+          while (j < p.newCols.length) { r(ar.length + j) = pr(p.newCols(j)); j += 1 }
+          out += r
+        }
+        acc = out
+      }
+      acc.iterator.map(r => pl.vars.iterator.zip(r.iterator).toMap).toSet
+    }
   }
 }

@@ -43,48 +43,18 @@ final class GraphStore {
   */
 object Matcher {
 
-  def matchPattern(store: GraphStore, q: QueryPattern): Set[Binding] = {
-    val order   = planOrder(store, q.edges)
-    val results = mutable.HashSet.empty[Binding]
-
-    def resolve(t: Term, b: Binding): Option[String] = t match {
-      case Cst(l) => Some(l)
-      case Vr(n)  => b.get(n)
-    }
-
-    def bindEndpoint(t: Term, v: String, b: Binding): Option[Binding] = t match {
-      case Cst(l) => if (l == v) Some(b) else None
-      case Vr(n)  => b.get(n) match {
-        case Some(x) => if (x == v) Some(b) else None
-        case None    => Some(b + (n -> v))
-      }
-    }
-
-    def rec(i: Int, b: Binding): Unit =
-      if (i == order.length) results += b
-      else {
-        val pe = order(i)
-        val candidates: Iterator[Edge] = (resolve(pe.src, b), resolve(pe.dst, b)) match {
-          case (Some(s), Some(t)) =>
-            val e = Edge(s, pe.label, t)
-            if (store.contains(e)) Iterator.single(e) else Iterator.empty
-          case (Some(s), None) => store.outOf(s).iterator.filter(_.label == pe.label)
-          case (None, Some(t)) => store.inOf(t).iterator.filter(_.label == pe.label)
-          case (None, None)    => store.ofLabel(pe.label).iterator
-        }
-        for (e <- candidates)
-          bindEndpoint(pe.src, e.src, b).flatMap(bindEndpoint(pe.dst, e.dst, _)).foreach(rec(i + 1, _))
-      }
-
-    rec(0, Map.empty)
-    results.toSet
-  }
+  /** Every match of `q`: the anchored search with no anchor and nothing
+    * bound yet.
+    */
+  def matchPattern(store: GraphStore, q: QueryPattern): Set[Binding] =
+    matchAnchored(store, q, anchorIdx = -1, Map.empty)
 
   /** Parameterized execution, the way the paper drives Neo4j: the query is
     * executed with one pattern edge bound to the incoming update's endpoints
     * (Cypher parameter syntax + cached query plans), so only embeddings that
     * use the new edge are searched for. Returns the matches extending `b0`
-    * over the remaining pattern edges.
+    * over the remaining pattern edges (all of them when `anchorIdx` names
+    * no pattern edge).
     */
   def matchAnchored(store: GraphStore, q: QueryPattern, anchorIdx: Int, b0: Binding): Set[Binding] = {
     val rest    = q.edges.zipWithIndex.collect { case (pe, i) if i != anchorIdx => pe }

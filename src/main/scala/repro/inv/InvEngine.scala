@@ -1,8 +1,9 @@
 package repro.inv
 
 import repro.engine.{ContinuousEngine, JoinCache, PathEval, Rel}
+import repro.engine.PathEval.FinalJoin
 import repro.graph.Edge
-import repro.query.CoveringPaths.Path
+import repro.query.QueryPattern.Binding
 import repro.query.{CoveringPaths, GEdge, Generic, QueryPattern}
 
 import scala.collection.mutable
@@ -30,21 +31,28 @@ import scala.collection.mutable
   */
 final class InvEngine(incremental: Boolean, caching: Boolean) extends ContinuousEngine {
 
+  private[repro] val jc = new JoinCache(caching)
+
+  /** The final joins' policy: always rebuild. Their path relations are
+    * recomputed per update, so a cache keyed on them would only grow.
+    */
+  private val rebuild = new JoinCache(false)
+
   def name: String =
-    (if (incremental) "INC" else "INV") + (if (caching) "+" else "")
+    (if (incremental) "INC" else "INV") + (if (jc.enabled) "+" else "")
 
   /** edgeInd: generic edge → ids of queries having it on a covering path. */
   val edgeInd = mutable.HashMap.empty[GEdge, mutable.LinkedHashSet[Int]]
 
-  /** queryInd: query id → (pattern, covering paths, the generic edges used). */
-  val queryInd = mutable.LinkedHashMap.empty[Int, (QueryPattern, Vector[Path], Vector[GEdge])]
+  /** queryInd: query id → (pattern, its final join over the covering paths,
+    * the generic edges used).
+    */
+  val queryInd = mutable.LinkedHashMap.empty[Int, (QueryPattern, FinalJoin, Vector[GEdge])]
 
   /** Per-generic-edge materialized views (shared across queries, as in TRIC —
     * the difference is what is done with them per update).
     */
   val edgeMat = mutable.HashMap.empty[GEdge, Rel]
-
-  private[repro] val jc = new JoinCache(caching)
 
   def indexQuery(q: QueryPattern): Unit = {
     val paths = CoveringPaths.cover(q)
@@ -53,7 +61,7 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
       edgeInd.getOrElseUpdate(g, mutable.LinkedHashSet.empty) += q.id
       edgeMat.getOrElseUpdate(g, new Rel(2))
     }
-    queryInd(q.id) = (q, paths, gs)
+    queryInd(q.id) = (q, new FinalJoin(paths), gs)
   }
 
   def onUpdate(e: Edge): collection.Set[Int] = {
@@ -66,17 +74,22 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
     // Step 1: locate affected queries, keep those whose views are all non-empty
     val affected = gens.flatMap(edgeInd(_)).distinct
     for (qid <- affected) {
-      val (q, paths, gs) = queryInd(qid)
+      val (_, join, gs) = queryInd(qid)
       if (gs.forall(g => edgeMat(g).nonEmpty)) {
         // Steps 2–3: materialize each covering path, then join the paths
+        val paths = join.paths
         val fullCache = mutable.HashMap.empty[Int, Rel]
         def full(i: Int): Rel =
           fullCache.getOrElseUpdate(i, PathEval.evalPathFull(paths(i), edgeMat.get, jc))
+        // the final join seeded with `seed`, rows of path t
+        def joinFrom(t: Int, seed: Rel): Set[Binding] = {
+          val rels = paths.indices.map(i => if (i == t) seed else full(i))
+          if (rels.exists(_.isEmpty)) Set.empty else join.from(t, seed, rels, rebuild)
+        }
 
         val bs =
-          if (!incremental) {
-            PathEval.joinPaths(q, paths, paths.indices.toVector.map(full))
-          } else {
+          if (!incremental) joinFrom(0, full(0))
+          else {
             // INC: a new answer must use the update tuple on some touched
             // path, so the touched path is seeded with just the update tuple
             // — but, per the paper (INC is only ~54% faster than INV), the
@@ -84,11 +97,7 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
             // per-edge views on every affected update; only the number of
             // tuples examined on the touched path shrinks.
             val touched = paths.indices.filter(i => paths(i).exists(pe => Generic.of(pe).matches(e)))
-            touched.iterator.flatMap { t =>
-              val delta = PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e)
-              val rels  = paths.indices.toVector.map(i => if (i == t) delta else full(i))
-              PathEval.joinPaths(q, paths, rels, startIdx = t) // seed with the delta
-            }.toSet
+            touched.iterator.flatMap(t => joinFrom(t, PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e))).toSet
           }
         if (bs.nonEmpty) { record(qid, bs); matchedNow += qid }
       }
@@ -97,7 +106,5 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
   }
 
   /** Structures whose size constitutes the engine's memory footprint. */
-  def memoryRoots: Seq[AnyRef] =
-    Seq(edgeInd, queryInd, edgeMat) ++
-      (if (caching) Seq(jc) else Seq.empty)
+  def memoryRoots: Seq[AnyRef] = Seq(edgeInd, queryInd, edgeMat, jc)
 }

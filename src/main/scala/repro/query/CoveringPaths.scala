@@ -108,13 +108,4 @@ object CoveringPaths {
         }
       }
       .map(_._1)
-
-  /** The variables on which two covering paths of the same query intersect —
-    * the information TRIC keeps to join path views back into the full query
-    * answer (paper §4.1, "Variable Handling").
-    */
-  def intersection(a: Path, b: Path): Set[Term] = {
-    def verts(p: Path): Set[Term] = p.flatMap(e => Seq(e.src, e.dst)).toSet
-    verts(a) intersect verts(b)
-  }
 }

@@ -3,7 +3,9 @@ package repro
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Harness
 import repro.engine.ContinuousEngine
+import repro.graph.Edge
 import repro.graphdb.{GraphStore, Matcher}
+import repro.query.{PatternEdge, QueryPattern, Vr}
 
 /** Integration sweep: all seven engines must agree — with each other and with
   * the independent reference matcher over the final graph — on which queries
@@ -65,6 +67,21 @@ class CrossEngineSpec extends AnyFunSuite {
               s"extra=${engine.bindings(q.id).diff(expected).take(3)}")
         }
       }
+    }
+  }
+
+  test("labels containing spaces never join by accident (all engines vs brute force)") {
+    // a key joining ("p q", "r") and ("p", "q r") with a space would match them
+    val q = QueryPattern(0, Vector(PatternEdge(Vr("x"), "a", Vr("y")), PatternEdge(Vr("x"), "b", Vr("y"))))
+    val stream = Vector(Edge("p q", "a", "r"), Edge("p", "b", "q r"), Edge("p q", "b", "r"))
+    for (mk <- Harness.allEngines) {
+      val e = mk()
+      e.indexQuery(q)
+      for (n <- 1 to stream.size) {
+        e.onUpdate(stream(n - 1))
+        assert(e.bindings(0) == BruteForce.bindings(stream.take(n), q), s"${e.name} after $n updates")
+      }
+      assert(e.bindings(0) == Set(Map("x" -> "p q", "y" -> "r")), e.name)
     }
   }
 

@@ -150,6 +150,40 @@ class TricEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("paper §4.2 Caching: TRIC builds per join, TRIC+ once per cached structure") {
+    // paths a→b (parent step, propagation) and c (the final join's other side)
+    val q = QueryPattern(1, Vector(pe(v("x"), "a", v("y")), pe(v("y"), "b", v("z")), pe(v("x"), "c", v("w"))))
+    val warm = Vector(Edge("0", "c", "w"), Edge("0", "a", "1"), Edge("1", "b", "2"))
+    val pairs = 20 // each pair runs three joins: propagation, parent step, final join
+    val more = (1 to pairs).flatMap(i => Seq(Edge("0", "a", s"y$i"), Edge(s"y$i", "b", s"z$i")))
+    val tric = new TricEngine(false); val plus = new TricEngine(true)
+    for (t <- Seq(tric, plus)) { t.indexQuery(q); warm.foreach(t.onUpdate) }
+    val (tric0, plus0) = (tric.jc.builds, plus.jc.builds)
+    for (t <- Seq(tric, plus)) more.foreach(t.onUpdate)
+
+    assert(tric.jc.builds - tric0 >= 3 * pairs)
+    assert(tric.jc.size == 0)
+    assert(plus.jc.builds == plus0)
+    assert(plus.jc.builds == plus.jc.size)
+    assert(tric.bindings(1).size == pairs + 1)
+    assert(tric.bindings(1) == plus.bindings(1))
+  }
+
+  test("TRIC+ shares cached projections of one view only between paths of the same layout") {
+    // each query's paths are m and l, both trie roots; the l view is probed
+    // as ?x l ?x (q1, a self-loop) or as ?x l ?z (q2, q3)
+    val qs = Vector(
+      QueryPattern(1, Vector(pe(v("x"), "m", v("y")), pe(v("x"), "l", v("x")))),
+      QueryPattern(2, Vector(pe(v("x"), "m", v("y")), pe(v("x"), "l", v("z")))),
+      QueryPattern(3, Vector(pe(v("s"), "m", v("t")), pe(v("s"), "l", v("u")))))
+    val es = Vector(Edge("a", "l", "b"), Edge("c", "l", "c"), Edge("a", "m", "z1"), Edge("c", "m", "z2"))
+    val plus = new TricEngine(true)
+    qs.foreach(plus.indexQuery)
+    es.foreach(plus.onUpdate)
+    qs.foreach(q => assert(plus.bindings(q.id) == BruteForce.bindings(es, q), s"query ${q.id}"))
+    assert(plus.bindings(1) == Set(Map("x" -> "c", "y" -> "z2")))
+  }
+
   test("update arriving before any prefix exists is recovered once the prefix arrives") {
     val t = new TricEngine(false)
     t.indexQuery(QueryPattern(1, Vector(

@@ -2,7 +2,7 @@ package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.Edge
-import repro.query.{Cst, GEdge, Generic, PatternEdge, QueryPattern, Vr}
+import repro.query.{Cst, GEdge, Generic, PatternEdge, Vr}
 
 import scala.collection.mutable
 
@@ -92,17 +92,15 @@ class PathEvalSpec extends AnyFunSuite {
     val p2 = Vector(pe(Vr("y"), "posted", Cst("pst2")))
     val fn = mats(edges, Seq(p1, p2))
     val jc = new JoinCache(false)
-    val q  = QueryPattern(0, p1 ++ p2)
-    val bs = PathEval.joinPaths(q, Vector(p1, p2),
-      Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc)))
+    val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
+    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0), rs, jc)
     // only p2 posted both pst1 and pst2
     assert(bs == Set(Map("x" -> "f2", "y" -> "p2")))
   }
 
   test("joinPaths with an empty path relation is empty") {
     val p1 = Vector(pe(Vr("x"), "hasMod", Vr("y")))
-    val q  = QueryPattern(0, p1)
-    assert(PathEval.joinPaths(q, Vector(p1), Vector(new Rel(2))).isEmpty)
+    assert(new PathEval.FinalJoin(Vector(p1)).from(0, new Rel(2), Vector(new Rel(2)), new JoinCache(false)).isEmpty)
   }
 
   test("joinPaths on disjoint variables forms a cross product") {
@@ -110,9 +108,8 @@ class PathEvalSpec extends AnyFunSuite {
     val p2 = Vector(pe(Vr("z"), "containedIn", Vr("w")))
     val fn = mats(edges, Seq(p1, p2))
     val jc = new JoinCache(false)
-    val q  = QueryPattern(0, p1 ++ p2)
-    val bs = PathEval.joinPaths(q, Vector(p1, p2),
-      Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc)))
+    val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
+    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0), rs, jc)
     assert(bs.size == 2) // 2 hasMod rows x 1 containedIn row
   }
 

@@ -93,11 +93,6 @@ class CoveringPathsSpec extends AnyFunSuite {
     assert(CoveringPaths.dropSubPaths(Vector(Vector(e1), Vector(e2))).size == 2)
   }
 
-  test("intersection reports shared terms of two paths") {
-    val e1 = pe(v("a"), "x", v("b")); val e2 = pe(v("b"), "y", v("c"))
-    assert(CoveringPaths.intersection(Vector(e1), Vector(e2)) == Set(v("b")))
-  }
-
   // property sweep: decomposition covers arbitrary generated patterns
   for (seed <- 0 until 25) {
     test(s"random pattern coverage property (seed=$seed)") {
