@@ -44,8 +44,12 @@ object Harness {
     def overallAvgMs: Double = if (processed == 0) Double.NaN else totalMs / processed
   }
 
-  private def memoryOf(e: ContinuousEngine): Long =
-    e.memoryRoots.map(SizeEstimator.estimate).sum
+  /** One joint estimate over the engine's memory roots, so a structure
+    * reachable from two roots (a trie node from `rootInd` and `edgeInd`, a
+    * view through a cached index) counts once.
+    */
+  private[bench] def memoryOf(e: ContinuousEngine): Long =
+    SizeEstimator.estimate(e.memoryRoots)
 
   /** Index `queries` into a fresh engine, replay `stream`, and report
     * per-segment average answering time at each checkpoint edge count.

@@ -38,6 +38,9 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
 
   def name: String = if (jc.enabled) "TRIC+" else "TRIC"
 
+  /** The rows a view gained in one update. */
+  private type Rows = mutable.ArrayBuffer[Array[String]]
+
   /** One trie node: a generic edge at a given depth. Its materialized view
     * has one column per path position 0..depth+1. Query ids are registered at
     * the node ending one of their covering paths.
@@ -107,7 +110,7 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     //    paper's final joins use "only the updated part of a materialized
     //    view" (Fig. 11), never the full view.
     val affectedNodes = gens.flatMap(edgeInd(_)).sortBy(_.depth)
-    val endDeltas = mutable.LinkedHashMap.empty[Node, Rel]
+    val endDeltas = mutable.LinkedHashMap.empty[Node, Rows]
 
     for (n <- affectedNodes) {
       // a root's rows are the update itself; a deeper node joins its
@@ -116,8 +119,8 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
       val rows =
         if (n.parent == null) Iterator.single(Array(e.src, e.dst))
         else jc.index(n.parent.matV, n.depth).probe(e.src).iterator.map(_ :+ e.dst)
-      val delta = new Rel(n.depth + 2)
-      rows.foreach(r => if (n.matV.add(r)) delta.add(r))
+      val delta = new Rows
+      rows.foreach(r => if (n.matV.add(r)) delta += r)
       if (delta.nonEmpty) propagate(n, delta, endDeltas)
     }
 
@@ -133,8 +136,8 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     for ((qid, pathIdxs) <- touched) {
       val (_, join, lasts) = queryInd(qid)
       if (lasts.forall(_.matV.nonEmpty)) {
-        val bs = pathIdxs.iterator.flatMap(t => join.from(t, endDeltas(lasts(t)), lasts(_).matV, jc)).toSet
-        if (bs.nonEmpty) { record(qid, bs); matchedNow += qid }
+        val bs = pathIdxs.iterator.flatMap(t => join.from(t, endDeltas(lasts(t)), lasts(_).matV, jc))
+        if (record(qid, bs)) matchedNow += qid
       }
     }
     matchedNow
@@ -143,19 +146,17 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   /** Push a delta down the sub-trie, pruning branches whose join is empty:
     * each child joins the delta with its edge view, probing the view's hash
     * index from `jc`. Deltas reaching path-end nodes (nodes with registered
-    * queries) are accumulated into `endDeltas` for the final joins.
+    * queries) are accumulated into `endDeltas` for the final joins. A delta
+    * holds the rows `matV.add` just accepted, so it needs no dedup of its own.
     */
-  private def propagate(n: Node, delta: Rel, endDeltas: mutable.LinkedHashMap[Node, Rel]): Unit = {
-    if (n.queries.nonEmpty) {
-      val acc = endDeltas.getOrElseUpdate(n, new Rel(n.depth + 2))
-      delta.rows.foreach(acc.add)
-    }
+  private def propagate(n: Node, delta: Rows, endDeltas: mutable.LinkedHashMap[Node, Rows]): Unit = {
+    if (n.queries.nonEmpty) endDeltas.getOrElseUpdate(n, new Rows) ++= delta
     for (c <- n.children) {
-      val childDelta = new Rel(c.depth + 2)
+      val childDelta = new Rows
       val eIdx = jc.index(edgeMat(c.key), 0)
-      for (row <- delta.rows; hit <- eIdx.probe(row(n.depth + 1))) {
+      for (row <- delta; hit <- eIdx.probe(row(n.depth + 1))) {
         val r = row :+ hit(1)
-        if (c.matV.add(r)) childDelta.add(r)
+        if (c.matV.add(r)) childDelta += r
       }
       if (childDelta.nonEmpty) propagate(c, childDelta, endDeltas)
     }

@@ -10,10 +10,11 @@ import scala.collection.mutable
   * INV/INV+, INC/INC+, GraphDb): index queries up front, then consume the
   * graph stream one update at a time, reporting which queries are satisfied.
   *
-  * `onUpdate` returns the ids of queries found satisfied while processing the
-  * update (the paper's `mark_Matched`); `satisfied` accumulates them and
-  * `bindings` accumulates every distinct variable binding discovered, so that
-  * at end-of-stream the engines can be diffed against the DuckDB oracle.
+  * `onUpdate` returns the ids of the queries that gained at least one new
+  * binding because of the update (the paper's `mark_Matched`), the same ids
+  * from every engine; `satisfied` accumulates them and `bindings`
+  * accumulates every distinct variable binding discovered, so that at
+  * end-of-stream the engines can be diffed against the DuckDB oracle.
   */
 trait ContinuousEngine {
   def name: String
@@ -32,9 +33,17 @@ trait ContinuousEngine {
   final def bindings(qid: Int): Set[Binding] =
     bindingStore.get(qid).map(_.toSet).getOrElse(Set.empty)
 
-  protected final def record(qid: Int, bs: Iterable[Binding]): Unit = {
-    satisfiedSet += qid
-    bindingStore.getOrElseUpdate(qid, mutable.HashSet.empty) ++= bs
+  /** Store the bindings `bs` found for `qid`; true iff one of them was new,
+    * which is when `onUpdate` reports `qid`.
+    */
+  protected final def record(qid: Int, bs: IterableOnce[Binding]): Boolean = {
+    if (!bs.iterator.hasNext) return false
+    val store = bindingStore.getOrElseUpdate(qid, mutable.HashSet.empty)
+    val known = store.size
+    store ++= bs // reuses the hashes of an immutable HashSet
+    val gained = store.size > known
+    if (gained) satisfiedSet += qid
+    gained
   }
 
   final def indexAll(qs: Iterable[QueryPattern]): Unit = qs.foreach(indexQuery)

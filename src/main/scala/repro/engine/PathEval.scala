@@ -106,58 +106,6 @@ object PathEval {
     out
   }
 
-  /** Where a covering path's variables sit in its rows: `eq` as computed by
-    * [[eqClass]], and `pos`, the first position of each distinct variable —
-    * the columns a projection keeps. Layouts key the cached projections, so
-    * paths over the same relation with the same layout share them; the hash
-    * is computed once because every cached probe looks it up.
-    */
-  final case class Layout(eq: Vector[Int], pos: Vector[Int]) {
-    override val hashCode: Int = (eq, pos).##
-  }
-
-  /** A path relation projected to its distinct variables, with the
-    * repeated-variable equalities enforced. It keeps an append cursor, so a
-    * cached projection (TRIC+) only processes rows added since its last
-    * refresh — the paper's "cache … intermediate results whenever possible".
-    */
-  final class Projection(val rel: Rel, layout: Layout) {
-    private val pos = layout.pos.toArray
-    val rows   = new mutable.ArrayBuffer[Array[String]]
-    private var cursor = 0
-
-    def refresh(): this.type = {
-      while (cursor < rel.size) {
-        val r = rel.rows(cursor)
-        if (consistent(r, layout.eq)) rows += Rel.select(r, pos)
-        cursor += 1
-      }
-      this
-    }
-  }
-
-  /** A hash index over a projection's rows on the projected columns
-    * `keyCols`, with an append cursor — the build side of the final joins.
-    */
-  final class ProjIndex(val source: Projection, keyCols: Vector[Int]) {
-    private val ks  = keyCols.toArray
-    private val idx = mutable.HashMap.empty[Rel.Key, mutable.ArrayBuffer[Array[String]]]
-    private var cursor = 0
-
-    def refresh(): this.type = {
-      source.refresh()
-      val rows = source.rows
-      while (cursor < rows.size) {
-        val r = rows(cursor)
-        idx.getOrElseUpdate(Rel.key(r, ks), new mutable.ArrayBuffer[Array[String]]) += r
-        cursor += 1
-      }
-      this
-    }
-
-    def probe(k: Rel.Key): collection.Seq[Array[String]] = idx.getOrElse(k, Rel.noRows)
-  }
-
   /** Seed-first ordering of path relations by shared-variable connectivity
     * (avoids accidental cross products mid-join).
     */
@@ -177,20 +125,28 @@ object PathEval {
   /** The final join of one query across its covering paths (paper Fig. 9
     * lines 8–13, incremental per Fig. 11) of TRIC(+), INV(+) and INC(+). The
     * paths' terms are computed when the query is indexed; the rest of the
-    * plan — each path's layout and, per seed path, the probe order and the
-    * key columns of every probe — once, on first use, so that indexing stays
-    * cheap and queries that never reach a final join hold no plan.
+    * plan — where each path's variables sit in its rows and, per seed path,
+    * the probe order and the index spec of every probe — once, on first use,
+    * so that indexing stays cheap and queries that never reach a final join
+    * hold no plan.
     */
   final class FinalJoin(val paths: Vector[Path]) {
     private val terms = paths.map(pathTerms)
     private lazy val vars = terms.map(_.collect { case Vr(n) => n }.distinct)
-    private lazy val layouts =
-      terms.indices.map(i => Layout(eqClass(terms(i)), vars(i).map(n => terms(i).indexOf(Vr(n)))))
 
-    /** Probe path `path`'s projection, hashed on its `keyCols`, with the
-      * joined row's `accKey` columns; a hit appends the path's `newCols`.
+    /** Each path's repeated-variable classes, null when it has none. */
+    private lazy val eqs = terms.map { ts =>
+      val eq = eqClass(ts)
+      if (eq.indices.forall(i => eq(i) == i)) null else eq
+    }
+
+    /** Each path's first row position of each of its variables. */
+    private lazy val pos = terms.indices.map(i => vars(i).map(n => terms(i).indexOf(Vr(n))).toArray)
+
+    /** Probe path `path`'s rows, indexed under `spec`, with the joined row's
+      * `accKey` columns; a hit appends its values at `newPos`.
       */
-    private final class Probe(val path: Int, val keyCols: Vector[Int], val accKey: Array[Int], val newCols: Array[Int])
+    private final class Probe(val path: Int, val spec: IdxSpec, val accKey: Array[Int], val newPos: Array[Int])
 
     /** The probes from seed path `t`, and the variables of a joined row. */
     private final class Plan(val probes: Vector[Probe], val vars: Vector[String])
@@ -201,7 +157,8 @@ object PathEval {
         var accVars = vars(t)
         val probes = orderByConnectivity(terms, t).tail.map { i =>
           val (shared, fresh) = vars(i).indices.partition(j => accVars.contains(vars(i)(j)))
-          val probe = new Probe(i, shared.toVector, shared.map(j => accVars.indexOf(vars(i)(j))).toArray, fresh.toArray)
+          val spec  = IdxSpec(shared.map(pos(i)).toVector, eqs(i))
+          val probe = new Probe(i, spec, shared.map(j => accVars.indexOf(vars(i)(j))).toArray, fresh.map(pos(i)).toArray)
           accVars ++= fresh.map(vars(i))
           probe
         }
@@ -211,24 +168,28 @@ object PathEval {
     }
 
     /** Join `seed`, rows of path `t` (its delta, or its full relation),
-      * with every other path `i`'s relation `rel(i)`, whose build structures
-      * come from `jc`. Rows stay flat arrays; bindings materialize at the end.
+      * with every other path `i`'s relation `rel(i)`, whose indexes come
+      * from `jc`. A joined row holds one value per variable; bindings
+      * materialize as they are iterated. Distinct seed rows give distinct
+      * bindings, so nothing is deduplicated here.
       */
-    def from(t: Int, seed: Rel, rel: Int => Rel, jc: JoinCache): Set[Binding] = {
+    def from(t: Int, seed: collection.Seq[Array[String]], rel: Int => Rel, jc: JoinCache): Iterator[Binding] = {
       val pl  = plan(t)
-      var acc = new Projection(seed, layouts(t)).refresh().rows
+      val eq  = eqs(t)
+      var acc = new mutable.ArrayBuffer[Array[String]]
+      for (r <- seed if eq == null || consistent(r, eq)) acc += Rel.select(r, pos(t))
       for (p <- pl.probes if acc.nonEmpty) {
-        val idx = jc.projIndex(rel(p.path), layouts(p.path), p.keyCols)
+        val idx = jc.index(rel(p.path), p.spec)
         val out = new mutable.ArrayBuffer[Array[String]]
         for (ar <- acc; pr <- idx.probe(Rel.key(ar, p.accKey))) {
-          val r = java.util.Arrays.copyOf(ar, ar.length + p.newCols.length)
+          val r = java.util.Arrays.copyOf(ar, ar.length + p.newPos.length)
           var j = 0
-          while (j < p.newCols.length) { r(ar.length + j) = pr(p.newCols(j)); j += 1 }
+          while (j < p.newPos.length) { r(ar.length + j) = pr(p.newPos(j)); j += 1 }
           out += r
         }
         acc = out
       }
-      acc.iterator.map(r => pl.vars.iterator.zip(r.iterator).toMap).toSet
+      acc.iterator.map(r => pl.vars.iterator.zip(r.iterator).toMap)
     }
   }
 }

@@ -12,34 +12,23 @@ final case class Edge(src: String, label: String, dst: String) {
   override def toString: String = s"$src -[$label]-> $dst"
 }
 
-/** A single stream update (paper Definition 2): the addition of one edge.
-  * Deletions are out of scope in the paper ("we focus on providing high
-  * performance query answering algorithms"), and so here.
+/** A stream (paper Definition 3) is an ordered `IndexedSeq[Edge]`; each
+  * update (Definition 2) adds one edge. Deletions are out of scope in the
+  * paper ("we focus on providing high performance query answering
+  * algorithms"), and so here.
   */
-final case class Update(edge: Edge)
-
 object GraphStream {
 
-  /** An ordered sequence of updates (paper Definition 3). We represent a
-    * stream as an `IndexedSeq[Edge]`; generators guarantee edge uniqueness so
-    * replay order is the only stream property that matters.
-    */
-  type Stream = IndexedSeq[Edge]
-
   /** Adjacency view of a (final) graph, used by the query-workload generator
-    * to sample satisfied patterns and by the GraphDb baseline's planner.
+    * to sample satisfied patterns.
     */
   final class Adjacency(val edges: IndexedSeq[Edge]) {
     val out: Map[String, IndexedSeq[Edge]] = edges.groupBy(_.src)
     val in: Map[String, IndexedSeq[Edge]]  = edges.groupBy(_.dst)
-    val byLabel: Map[String, IndexedSeq[Edge]] = edges.groupBy(_.label)
     val vertices: IndexedSeq[String] =
       (edges.iterator.map(_.src) ++ edges.iterator.map(_.dst)).toVector.distinct
-    val edgeSet: Set[Edge] = edges.toSet
 
     def outOf(v: String): IndexedSeq[Edge] = out.getOrElse(v, Vector.empty)
     def inOf(v: String): IndexedSeq[Edge]  = in.getOrElse(v, Vector.empty)
-    def ofLabel(l: String): IndexedSeq[Edge] = byLabel.getOrElse(l, Vector.empty)
-    def contains(e: Edge): Boolean = edgeSet.contains(e)
   }
 }

@@ -164,7 +164,7 @@ final class GraphDbEngine extends ContinuousEngine {
       // update; the paper's measurements match full re-execution, so that
       // variant is not used here.
       val bs = Matcher.matchPattern(store, queryInd(qid))
-      if (bs.nonEmpty) { record(qid, bs); matchedNow += qid }
+      if (record(qid, bs)) matchedNow += qid
     }
     matchedNow
   }

@@ -82,9 +82,9 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
         def full(i: Int): Rel =
           fullCache.getOrElseUpdate(i, PathEval.evalPathFull(paths(i), edgeMat.get, jc))
         // the final join seeded with `seed`, rows of path t
-        def joinFrom(t: Int, seed: Rel): Set[Binding] = {
+        def joinFrom(t: Int, seed: Rel): Iterator[Binding] = {
           val rels = paths.indices.map(i => if (i == t) seed else full(i))
-          if (rels.exists(_.isEmpty)) Set.empty else join.from(t, seed, rels, rebuild)
+          if (rels.exists(_.isEmpty)) Iterator.empty else join.from(t, seed.rows, rels, rebuild)
         }
 
         val bs =
@@ -97,9 +97,9 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
             // per-edge views on every affected update; only the number of
             // tuples examined on the touched path shrinks.
             val touched = paths.indices.filter(i => paths(i).exists(pe => Generic.of(pe).matches(e)))
-            touched.iterator.flatMap(t => joinFrom(t, PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e))).toSet
+            touched.iterator.flatMap(t => joinFrom(t, PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e)))
           }
-        if (bs.nonEmpty) { record(qid, bs); matchedNow += qid }
+        if (record(qid, bs)) matchedNow += qid
       }
     }
     matchedNow

@@ -8,16 +8,13 @@ import scala.util.Random
 /** Knobs of the paper's query-set configuration (§6.1): `n` = |Q_DB|,
   * `avgLen` = ℓ (average edges per query), `selectivity` = σ (fraction of
   * queries ultimately satisfied by the stream), `overlap` = o (fraction of
-  * queries sharing a sub-pattern with another query), `varRate` = probability
-  * that a vertex is generalized to a variable.
+  * queries sharing a sub-pattern with another query).
   */
 final case class QueryConfig(
     n: Int,
     avgLen: Int = 5,
     selectivity: Double = 0.25,
     overlap: Double = 0.35,
-    varRate: Double = 0.5,
-    maxVarRun: Int = 2,
     seed: Long = 42,
 )
 
@@ -34,6 +31,12 @@ final case class QueryConfig(
 object QueryGenerator {
 
   private final case class Concrete(cls: String, edges: Vector[Edge])
+
+  /** Probability that a vertex is generalized to a variable. */
+  private val VarRate = 0.5
+
+  /** The longest run of consecutive variables along a covering path. */
+  private val MaxVarRun = 2
 
   def generate(adj: GraphStream.Adjacency, cfg: QueryConfig): Vector[QueryPattern] = {
     require(adj.edges.nonEmpty, "cannot sample queries from an empty graph")
@@ -57,8 +60,8 @@ object QueryGenerator {
         }
 
       val edges = if (wantSat) concrete.edges else poison(concrete.edges, rng, i)
-      val pes = toPattern(edges, rng, cfg.varRate, poisonTag = if (wantSat) None else Some(s"zz$i"))
-      anchor(pes, edges, cfg.maxVarRun)
+      val pes = toPattern(edges, rng, poisonTag = if (wantSat) None else Some(s"zz$i"))
+      anchor(pes, edges)
     }
 
     // shuffle so satisfied/unsatisfied and classes interleave, then re-id
@@ -78,18 +81,17 @@ object QueryGenerator {
   }
 
   /** Assign variables: each distinct vertex becomes a variable with
-    * probability `varRate` (consistently across its occurrences); the
+    * probability `VarRate` (consistently across its occurrences); the
     * poisoned vertex, if any, always stays a literal so unsatisfiability is
     * preserved.
     */
-  private def toPattern(edges: Vector[Edge], rng: Random, varRate: Double,
-                        poisonTag: Option[String]): Vector[PatternEdge] = {
+  private def toPattern(edges: Vector[Edge], rng: Random, poisonTag: Option[String]): Vector[PatternEdge] = {
     val verts = edges.flatMap(e => Seq(e.src, e.dst)).distinct
     var k = 0
     val term: Map[String, Term] = verts.map { v =>
       val t: Term =
         if (poisonTag.contains(v)) Cst(v)
-        else if (rng.nextDouble() < varRate) { val vr = Vr(s"v$k"); k += 1; vr }
+        else if (rng.nextDouble() < VarRate) { val vr = Vr(s"v$k"); k += 1; vr }
         else Cst(v)
       v -> t
     }.toMap
@@ -132,7 +134,7 @@ object QueryGenerator {
   }
 
   /** Bound the length of all-variable runs along covering paths to
-    * `maxVarRun` by flipping run-middle variables back to their concrete
+    * `MaxVarRun` by flipping run-middle variables back to their concrete
     * vertex labels. Long unanchored generic sub-paths make materialized-view
     * sizes grow with the walk count of the graph (exponential in run length
     * on hub-heavy graphs); real workloads — like the paper's SNB-derived
@@ -141,8 +143,7 @@ object QueryGenerator {
     * (satisfied queries remain concrete subgraphs) and unsatisfiability (the
     * poisoned literal is untouched).
     */
-  private def anchor(pes: Vector[PatternEdge], concrete: Vector[Edge], maxVarRun: Int): Vector[PatternEdge] = {
-    if (maxVarRun <= 0) return pes
+  private def anchor(pes: Vector[PatternEdge], concrete: Vector[Edge]): Vector[PatternEdge] = {
     val concreteOf: Map[Term, String] =
       pes.zip(concrete).flatMap { case (pe, e) => Seq(pe.src -> e.src, pe.dst -> e.dst) }.toMap
 
@@ -153,13 +154,13 @@ object QueryGenerator {
       val paths = CoveringPaths.cover(QueryPattern(0, cur))
       val offending: Option[Term] = paths.iterator.flatMap { p =>
         val terms = p.head.src +: p.map(_.dst)
-        // find the first run of > maxVarRun consecutive variables
+        // find the first run of > MaxVarRun consecutive variables
         var run = Vector.empty[Term]
         var hit: Option[Term] = None
         terms.foreach {
           case v: Vr if hit.isEmpty =>
             run :+= v
-            if (run.size > maxVarRun) hit = Some(run(run.size / 2))
+            if (run.size > MaxVarRun) hit = Some(run(run.size / 2))
           case _ => run = Vector.empty
         }
         hit

@@ -28,7 +28,7 @@ object StreamingEval {
   final case class SeqEdge(seq: Long, src: String, label: String, dst: String)
 
   /** Matches emitted by the stream: (sequence number, query id) — query
-    * `qid` was (re-)satisfied while processing update `seq`.
+    * `qid` gained at least one new binding from update `seq`.
     */
   final case class MatchEvent(seq: Long, qid: Int)
 

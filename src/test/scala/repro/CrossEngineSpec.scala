@@ -16,12 +16,17 @@ import repro.query.{PatternEdge, QueryPattern, Vr}
   */
 class CrossEngineSpec extends AnyFunSuite {
 
-  private lazy val results: Map[String, Seq[ContinuousEngine]] =
+  /** Every engine after replaying a workload, with what it reported per update. */
+  private lazy val replays: Map[String, Seq[(ContinuousEngine, Vector[Set[Int]])]] =
     TestWorkloads.crossWorkloads.map { case (name, stream, queries) =>
-      val engines = Harness.allEngines.map(_())
-      engines.foreach { e => e.indexAll(queries); e.replay(stream) }
-      name -> engines
+      name -> Harness.allEngines.map { mk =>
+        val e = mk()
+        e.indexAll(queries)
+        e -> stream.map(e.onUpdate(_).toSet)
+      }
     }.toMap
+
+  private def results(name: String): Seq[ContinuousEngine] = replays(name).map(_._1)
 
   private def reference(name: String): (Vector[repro.graph.Edge], Vector[repro.query.QueryPattern]) = {
     val (_, stream, queries) = TestWorkloads.crossWorkloads.find(_._1 == name).get
@@ -37,6 +42,15 @@ class CrossEngineSpec extends AnyFunSuite {
         case Seq((n1, s1), (n2, s2)) =>
           assert(s1 == s2, s"$n1 vs $n2: only-first=${s1.diff(s2)} only-second=${s2.diff(s1)}")
         case _ =>
+      }
+    }
+
+    test(s"[$name] all engines report the same queries after every update") {
+      val (e0, out0) = replays(name).head
+      for ((e, out) <- replays(name).tail) {
+        val diff = out.indices.filter(i => out(i) != out0(i))
+        diff.headOption.foreach(i => fail(s"${e.name} vs ${e0.name}: ${diff.size} of ${out.size} updates " +
+          s"differ, first #$i: ${out(i)} vs ${out0(i)}"))
       }
     }
 

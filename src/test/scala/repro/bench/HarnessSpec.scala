@@ -1,6 +1,8 @@
 package repro.bench
 
+import org.apache.spark.util.SizeEstimator
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestWorkloads
 import repro.core.TricEngine
 import repro.graph.Edge
 import repro.query.{PatternEdge, QueryPattern, Vr}
@@ -36,6 +38,18 @@ class HarnessSpec extends AnyFunSuite {
     val big   = Harness.run(() => new TricEngine(false), Seq(q(0)), stream(2000), Seq(2000), 60000)
     assert(small.memBytes > 0)
     assert(big.memBytes > small.memBytes)
+  }
+
+  test("memory counts a structure reachable from two roots once") {
+    // the workload's queries share trie prefixes, so trie nodes and their
+    // views are reachable from rootInd, edgeInd, queryInd and the join cache
+    val (_, stream, queries) = TestWorkloads.crossWorkloads.head
+    for (caching <- Seq(false, true)) {
+      val e = new TricEngine(caching)
+      e.indexAll(queries)
+      e.replay(stream)
+      assert(Harness.memoryOf(e) <= SizeEstimator.estimate(e), e.name)
+    }
   }
 
   test("overallAvgMs is total time over processed updates") {

@@ -169,7 +169,7 @@ class TricEngineSpec extends AnyFunSuite {
     assert(tric.bindings(1) == plus.bindings(1))
   }
 
-  test("TRIC+ shares cached projections of one view only between paths of the same layout") {
+  test("TRIC+ shares indexes by view and repeated variables") {
     // each query's paths are m and l, both trie roots; the l view is probed
     // as ?x l ?x (q1, a self-loop) or as ?x l ?z (q2, q3)
     val qs = Vector(

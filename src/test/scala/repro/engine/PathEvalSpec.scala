@@ -93,14 +93,14 @@ class PathEvalSpec extends AnyFunSuite {
     val fn = mats(edges, Seq(p1, p2))
     val jc = new JoinCache(false)
     val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
-    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0), rs, jc)
+    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0).rows, rs, jc).toSet
     // only p2 posted both pst1 and pst2
     assert(bs == Set(Map("x" -> "f2", "y" -> "p2")))
   }
 
   test("joinPaths with an empty path relation is empty") {
     val p1 = Vector(pe(Vr("x"), "hasMod", Vr("y")))
-    assert(new PathEval.FinalJoin(Vector(p1)).from(0, new Rel(2), Vector(new Rel(2)), new JoinCache(false)).isEmpty)
+    assert(new PathEval.FinalJoin(Vector(p1)).from(0, Vector.empty, Vector(new Rel(2)), new JoinCache(false)).isEmpty)
   }
 
   test("joinPaths on disjoint variables forms a cross product") {
@@ -109,7 +109,7 @@ class PathEvalSpec extends AnyFunSuite {
     val fn = mats(edges, Seq(p1, p2))
     val jc = new JoinCache(false)
     val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
-    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0), rs, jc)
+    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0).rows, rs, jc).toSet
     assert(bs.size == 2) // 2 hasMod rows x 1 containedIn row
   }
 

@@ -1,6 +1,7 @@
 package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.query.Vr
 
 /** Unit tests for relations, hash indexes and the incremental join cache. */
 class RelSpec extends AnyFunSuite {
@@ -27,7 +28,7 @@ class RelSpec extends AnyFunSuite {
 
   test("HashIdx probes rows by column value") {
     val r = Rel.of(Seq(Array("a", "1"), Array("a", "2"), Array("b", "3")), 2)
-    val idx = new HashIdx(r, 0).refresh()
+    val idx = new HashIdx(r, IdxSpec.column(0)).refresh()
     assert(idx.probe("a").map(_(1)).toSet == Set("1", "2"))
     assert(idx.probe("b").map(_(1)).toSet == Set("3"))
     assert(idx.probe("z").isEmpty)
@@ -36,7 +37,7 @@ class RelSpec extends AnyFunSuite {
   test("HashIdx refresh picks up rows appended after construction") {
     val r = new Rel(2)
     r.add(Array("a", "1"))
-    val idx = new HashIdx(r, 0).refresh()
+    val idx = new HashIdx(r, IdxSpec.column(0)).refresh()
     assert(idx.probe("a").size == 1)
     r.add(Array("a", "2"))
     assert(idx.probe("a").size == 1) // stale until refreshed
@@ -46,8 +47,35 @@ class RelSpec extends AnyFunSuite {
 
   test("HashIdx can index the second column") {
     val r = Rel.of(Seq(Array("a", "x"), Array("b", "x")), 2)
-    val idx = new HashIdx(r, 1).refresh()
+    val idx = new HashIdx(r, IdxSpec.column(1)).refresh()
     assert(idx.probe("x").map(_(0)).toSet == Set("a", "b"))
+  }
+
+  test("a two-column HashIdx with an eq spec indexes only consistent rows") {
+    // rows of a path ?x -> ?y -> ?x: position 2 repeats position 0
+    val r = Rel.of(Seq(Array("a", "b", "a"), Array("a", "b", "c"), Array("a", "d", "a")), 3)
+    val idx = new HashIdx(r, IdxSpec(Vector(0, 1), PathEval.eqClass(Vector(Vr("x"), Vr("y"), Vr("x"))))).refresh()
+    val probe = (x: String, y: String) => idx.probe(Rel.key(Array(x, y), Array(0, 1))).map(_.toVector)
+    assert(probe("a", "b") == Seq(Vector("a", "b", "a")))
+    assert(probe("a", "d") == Seq(Vector("a", "d", "a")))
+    assert(probe("b", "a").isEmpty)
+    r.add(Array("e", "f", "g"))
+    r.add(Array("e", "f", "e"))
+    assert(probe("e", "f").isEmpty) // stale until refreshed
+    idx.refresh()
+    assert(probe("e", "f") == Seq(Vector("e", "f", "e")))
+  }
+
+  test("JoinCache keeps separate indexes for the same columns under different eq") {
+    val jc   = new JoinCache(true)
+    val r    = Rel.of(Seq(Array("a", "a"), Array("a", "b")), 2)
+    val loop = jc.index(r, IdxSpec(Vector(0), Vector(0, 0))) // ?x -> ?x
+    val all  = jc.index(r, 0)
+    assert(jc.builds == 2 && jc.size == 2)
+    assert(loop.probe("a").map(_.toVector) == Seq(Vector("a", "a")))
+    assert(all.probe("a").size == 2)
+    assert(jc.index(r, IdxSpec(Vector(0), Vector(0, 0))) eq loop) // equal specs share one index
+    assert(jc.builds == 2)
   }
 
   test("JoinCache disabled rebuilds the index on every call") {
