@@ -136,8 +136,8 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     for ((qid, pathIdxs) <- touched) {
       val (_, join, lasts) = queryInd(qid)
       if (lasts.forall(_.matV.nonEmpty)) {
-        val bs = pathIdxs.iterator.flatMap(t => join.from(t, endDeltas(lasts(t)), lasts(_).matV, jc))
-        if (record(qid, bs)) matchedNow += qid
+        val rows = pathIdxs.iterator.flatMap(t => join.from(t, endDeltas(lasts(t)), lasts(_).matV, jc))
+        if (record(qid, join.vars, rows)) matchedNow += qid
       }
     }
     matchedNow

@@ -27,23 +27,41 @@ trait ContinuousEngine {
   def memoryRoots: Seq[AnyRef]
 
   protected val satisfiedSet = mutable.LinkedHashSet.empty[Int]
-  protected val bindingStore = mutable.HashMap.empty[Int, mutable.HashSet[Binding]]
+
+  /** Per query: its variables, the column order of its answer rows, and the
+    * distinct rows found so far. Maps are built only by `bindings`.
+    */
+  private val bindingStore = mutable.HashMap.empty[Int, (Vector[String], Rel)]
 
   final def satisfied: collection.Set[Int] = satisfiedSet
-  final def bindings(qid: Int): Set[Binding] =
-    bindingStore.get(qid).map(_.toSet).getOrElse(Set.empty)
+  final def bindings(qid: Int): Set[Binding] = bindingStore.get(qid) match {
+    case Some((vars, rel)) => rel.rows.iterator.map(r => vars.iterator.zip(r.iterator).toMap).toSet
+    case None              => Set.empty
+  }
 
-  /** Store the bindings `bs` found for `qid`; true iff one of them was new,
-    * which is when `onUpdate` reports `qid`.
+  /** Store the answer rows `rows` found for `qid`, one value per variable of
+    * `vars` in that order; true iff one of them was new, which is when
+    * `onUpdate` reports `qid`.
     */
-  protected final def record(qid: Int, bs: IterableOnce[Binding]): Boolean = {
-    if (!bs.iterator.hasNext) return false
-    val store = bindingStore.getOrElseUpdate(qid, mutable.HashSet.empty)
-    val known = store.size
-    store ++= bs // reuses the hashes of an immutable HashSet
-    val gained = store.size > known
+  protected final def record(qid: Int, vars: Vector[String], rows: IterableOnce[Array[String]]): Boolean = {
+    val it = rows.iterator
+    if (!it.hasNext) return false
+    val (known, store) = bindingStore.getOrElseUpdate(qid, (vars, new Rel(vars.size)))
+    require(known == vars, s"query $qid: rows over $vars, stored over $known")
+    var gained = false
+    while (it.hasNext) gained |= store.add(it.next())
     if (gained) satisfiedSet += qid
     gained
+  }
+
+  /** `record` for bindings given as maps, stored in the column order of the
+    * query's earlier answers, else in its variables' sorted order.
+    */
+  protected final def record(qid: Int, bs: IterableOnce[Binding]): Boolean = {
+    val it = bs.iterator.buffered
+    if (!it.hasNext) return false
+    val vars = bindingStore.get(qid).fold(it.head.keys.toVector.sorted)(_._1)
+    record(qid, vars, it.map(b => vars.iterator.map(b).toArray))
   }
 
   final def indexAll(qs: Iterable[QueryPattern]): Unit = qs.foreach(indexQuery)

@@ -2,7 +2,6 @@ package repro.engine
 
 import repro.graph.Edge
 import repro.query.CoveringPaths.Path
-import repro.query.QueryPattern.Binding
 import repro.query.{Generic, GEdge, Term, Vr}
 
 import scala.collection.mutable
@@ -132,7 +131,12 @@ object PathEval {
     */
   final class FinalJoin(val paths: Vector[Path]) {
     private val terms = paths.map(pathTerms)
-    private lazy val vars = terms.map(_.collect { case Vr(n) => n }.distinct)
+    private lazy val pathVars = terms.map(_.collect { case Vr(n) => n }.distinct)
+
+    /** The query's variables, sorted (as `QueryPattern.varNames`): the
+      * column order of every row `from` returns.
+      */
+    lazy val vars: Vector[String] = pathVars.flatten.distinct.sorted
 
     /** Each path's repeated-variable classes, null when it has none. */
     private lazy val eqs = terms.map { ts =>
@@ -141,39 +145,42 @@ object PathEval {
     }
 
     /** Each path's first row position of each of its variables. */
-    private lazy val pos = terms.indices.map(i => vars(i).map(n => terms(i).indexOf(Vr(n))).toArray)
+    private lazy val pos = terms.indices.map(i => pathVars(i).map(n => terms(i).indexOf(Vr(n))).toArray)
 
     /** Probe path `path`'s rows, indexed under `spec`, with the joined row's
       * `accKey` columns; a hit appends its values at `newPos`.
       */
     private final class Probe(val path: Int, val spec: IdxSpec, val accKey: Array[Int], val newPos: Array[Int])
 
-    /** The probes from seed path `t`, and the variables of a joined row. */
-    private final class Plan(val probes: Vector[Probe], val vars: Vector[String])
+    /** The probes from seed path `t`, and where each of `vars` sits in a
+      * joined row (null when the joined row is already in `vars` order).
+      */
+    private final class Plan(val probes: Vector[Probe], val order: Array[Int])
     private val plans = new Array[Plan](paths.size)
 
     private def plan(t: Int): Plan = {
       if (plans(t) == null) {
-        var accVars = vars(t)
+        var accVars = pathVars(t)
         val probes = orderByConnectivity(terms, t).tail.map { i =>
-          val (shared, fresh) = vars(i).indices.partition(j => accVars.contains(vars(i)(j)))
+          val vs = pathVars(i)
+          val (shared, fresh) = vs.indices.partition(j => accVars.contains(vs(j)))
           val spec  = IdxSpec(shared.map(pos(i)).toVector, eqs(i))
-          val probe = new Probe(i, spec, shared.map(j => accVars.indexOf(vars(i)(j))).toArray, fresh.map(pos(i)).toArray)
-          accVars ++= fresh.map(vars(i))
+          val probe = new Probe(i, spec, shared.map(j => accVars.indexOf(vs(j))).toArray, fresh.map(pos(i)).toArray)
+          accVars ++= fresh.map(vs)
           probe
         }
-        plans(t) = new Plan(probes, accVars)
+        plans(t) = new Plan(probes, if (accVars == vars) null else vars.map(accVars.indexOf).toArray)
       }
       plans(t)
     }
 
     /** Join `seed`, rows of path `t` (its delta, or its full relation),
       * with every other path `i`'s relation `rel(i)`, whose indexes come
-      * from `jc`. A joined row holds one value per variable; bindings
-      * materialize as they are iterated. Distinct seed rows give distinct
-      * bindings, so nothing is deduplicated here.
+      * from `jc`. Returns one fresh row per answer, its values in `vars`
+      * order. Distinct seed rows give distinct answers, so nothing is
+      * deduplicated here.
       */
-    def from(t: Int, seed: collection.Seq[Array[String]], rel: Int => Rel, jc: JoinCache): Iterator[Binding] = {
+    def from(t: Int, seed: collection.Seq[Array[String]], rel: Int => Rel, jc: JoinCache): Iterator[Array[String]] = {
       val pl  = plan(t)
       val eq  = eqs(t)
       var acc = new mutable.ArrayBuffer[Array[String]]
@@ -189,7 +196,7 @@ object PathEval {
         }
         acc = out
       }
-      acc.iterator.map(r => pl.vars.iterator.zip(r.iterator).toMap)
+      if (pl.order == null) acc.iterator else acc.iterator.map(Rel.select(_, pl.order))
     }
   }
 }

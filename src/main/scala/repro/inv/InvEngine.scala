@@ -3,7 +3,6 @@ package repro.inv
 import repro.engine.{ContinuousEngine, JoinCache, PathEval, Rel}
 import repro.engine.PathEval.FinalJoin
 import repro.graph.Edge
-import repro.query.QueryPattern.Binding
 import repro.query.{CoveringPaths, GEdge, Generic, QueryPattern}
 
 import scala.collection.mutable
@@ -82,12 +81,12 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
         def full(i: Int): Rel =
           fullCache.getOrElseUpdate(i, PathEval.evalPathFull(paths(i), edgeMat.get, jc))
         // the final join seeded with `seed`, rows of path t
-        def joinFrom(t: Int, seed: Rel): Iterator[Binding] = {
+        def joinFrom(t: Int, seed: Rel): Iterator[Array[String]] = {
           val rels = paths.indices.map(i => if (i == t) seed else full(i))
           if (rels.exists(_.isEmpty)) Iterator.empty else join.from(t, seed.rows, rels, rebuild)
         }
 
-        val bs =
+        val rows =
           if (!incremental) joinFrom(0, full(0))
           else {
             // INC: a new answer must use the update tuple on some touched
@@ -99,7 +98,7 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
             val touched = paths.indices.filter(i => paths(i).exists(pe => Generic.of(pe).matches(e)))
             touched.iterator.flatMap(t => joinFrom(t, PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e)))
           }
-        if (record(qid, bs)) matchedNow += qid
+        if (record(qid, join.vars, rows)) matchedNow += qid
       }
     }
     matchedNow

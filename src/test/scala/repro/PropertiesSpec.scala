@@ -2,6 +2,7 @@ package repro
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bench.Harness
 import repro.core.TricEngine
 import repro.graph.Edge
 import repro.inv.InvEngine
@@ -37,6 +38,46 @@ class PropertiesSpec extends AnyFunSuite {
       t <- Gen.choose(0, 7).map(i => s"k$i")
     } yield Edge(s, l, t))
   } yield es.toVector.distinct
+
+  // Adversarial workloads: few variables, vertices and labels, so the
+  // queries share trie prefixes and repeat variables; streams draw from a
+  // small edge pool (duplicates) whose edges are often self-loops.
+  private val genSmallTerm: Gen[Term] = Gen.oneOf(
+    Gen.choose(0, 3).map(i => Vr(s"v$i")),
+    Gen.choose(0, 3).map(i => Cst(s"k$i")))
+
+  private val genSmallPattern: Gen[Vector[PatternEdge]] = for {
+    n     <- Gen.choose(1, 4)
+    edges <- Gen.listOfN(n, for {
+      s <- genSmallTerm; l <- Gen.choose(0, 1).map(i => s"l$i")
+      t <- Gen.frequency(1 -> Gen.const(s), 3 -> genSmallTerm)
+    } yield PatternEdge(s, l, t))
+  } yield edges.toVector.distinct
+
+  private val genQuerySet: Gen[Vector[QueryPattern]] = for {
+    k  <- Gen.choose(2, 4)
+    ps <- Gen.listOfN(k, genSmallPattern)
+  } yield (ps.toVector :+ ps.head.take((ps.head.size + 1) / 2)).zipWithIndex.map { case (es, i) => QueryPattern(i, es) }
+
+  private val genDupStream: Gen[Vector[Edge]] = for {
+    n    <- Gen.choose(1, 40)
+    pool <- Gen.listOfN(n / 3 + 1, for {
+      s <- Gen.choose(0, 4).map(i => s"k$i")
+      l <- Gen.choose(0, 1).map(i => s"l$i")
+      t <- Gen.frequency(1 -> Gen.const(s), 2 -> Gen.choose(0, 4).map(i => s"k$i"))
+    } yield Edge(s, l, t))
+    picks <- Gen.listOfN(n, Gen.choose(0, pool.size - 1))
+  } yield picks.toVector.map(pool)
+
+  test("property: all engines report the same queries per update on adversarial streams") {
+    check("adversarial", Prop.forAll(genQuerySet, genDupStream) { (qs, es) =>
+      val engines = Harness.allEngines.map(_())
+      engines.foreach(_.indexAll(qs))
+      val outs = engines.map(e => es.map(e.onUpdate(_).toSet))
+      outs.forall(_ == outs.head) &&
+        qs.forall(q => engines.forall(_.bindings(q.id) == BruteForce.bindings(es, q)))
+    }, min = 40)
+  }
 
   test("property: covering paths cover every edge and vertex of any pattern") {
     check("cover", Prop.forAll(genPattern) { q =>

@@ -1,8 +1,12 @@
 package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.BruteForce
+import repro.core.TricEngine
 import repro.graph.Edge
-import repro.query.{Cst, GEdge, Generic, PatternEdge, Vr}
+import repro.graphdb.GraphDbEngine
+import repro.inv.InvEngine
+import repro.query.{CoveringPaths, Cst, GEdge, Generic, PatternEdge, QueryPattern, Vr}
 
 import scala.collection.mutable
 
@@ -93,7 +97,8 @@ class PathEvalSpec extends AnyFunSuite {
     val fn = mats(edges, Seq(p1, p2))
     val jc = new JoinCache(false)
     val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
-    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0).rows, rs, jc).toSet
+    val fj = new PathEval.FinalJoin(Vector(p1, p2))
+    val bs = fj.from(0, rs(0).rows, rs, jc).map(r => fj.vars.zip(r).toMap).toSet
     // only p2 posted both pst1 and pst2
     assert(bs == Set(Map("x" -> "f2", "y" -> "p2")))
   }
@@ -109,8 +114,38 @@ class PathEvalSpec extends AnyFunSuite {
     val fn = mats(edges, Seq(p1, p2))
     val jc = new JoinCache(false)
     val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
-    val bs = new PathEval.FinalJoin(Vector(p1, p2)).from(0, rs(0).rows, rs, jc).toSet
+    val fj = new PathEval.FinalJoin(Vector(p1, p2))
+    val bs = fj.from(0, rs(0).rows, rs, jc).map(r => fj.vars.zip(r).toMap).toSet
     assert(bs.size == 2) // 2 hasMod rows x 1 containedIn row
+  }
+
+  test("final-join rows follow the sorted variables from every seed path") {
+    // covering paths ?z->?y, ?z->?x and ?w->?x each meet the variables in an
+    // order other than the sorted one, so every seed path needs reordering
+    val q = QueryPattern(0, Vector(
+      pe(Vr("z"), "a", Vr("y")), pe(Vr("z"), "c", Vr("x")), pe(Vr("w"), "b", Vr("x"))))
+    val es = Seq(
+      Edge("z1", "a", "y1"), Edge("z1", "a", "y2"), Edge("z1", "c", "x1"), Edge("w1", "b", "x1"),
+      Edge("w2", "b", "x1"), Edge("z2", "a", "y3"), Edge("z2", "c", "x2"), Edge("w3", "b", "x2"),
+      Edge("z3", "a", "y4"))
+    val paths = CoveringPaths.cover(q)
+    val fj    = new PathEval.FinalJoin(paths)
+    assert(fj.vars == q.varNames)
+    assert(paths.size == 3, paths)
+    val expected = BruteForce.bindings(es, q)
+    assert(expected.size == 5)
+    val fn = mats(es, paths)
+    val jc = new JoinCache(false)
+    val rs = paths.map(PathEval.evalPathFull(_, fn, jc))
+    for (t <- paths.indices)
+      assert(fj.from(t, rs(t).rows, rs, jc).map(_.toVector).toSet == expected.map(b => fj.vars.map(b)), s"seed $t")
+
+    val engines = Seq(new TricEngine(false), new TricEngine(true), new InvEngine(true, true), new GraphDbEngine)
+    for (e <- engines) {
+      e.indexQuery(q)
+      es.foreach(e.onUpdate)
+      assert(e.bindings(0) == expected, e.name)
+    }
   }
 
   test("eqClass maps repeated variables to their first position") {

@@ -26,6 +26,33 @@ class RelSpec extends AnyFunSuite {
     assert(!r.contains(Array("a", "b", "d")))
   }
 
+  test("Rel keeps 10 000 distinct rows through its growths, in insertion order") {
+    val r    = new Rel(2)
+    val rows = (0 until 10000).map(i => Array(s"v${i % 97}", s"w$i"))
+    assert(rows.forall(r.add))
+    assert(rows.forall(row => !r.add(row.clone)))
+    assert(rows.forall(row => r.contains(row.clone)))
+    assert(!r.contains(Array("v0", "w1")))
+    assert(r.size == 10000 && r.rows.indices.forall(i => r.rows(i) eq rows(i)))
+  }
+
+  test("Rel keeps rows whose hashes are equal") {
+    assert("Aa".hashCode == "BB".hashCode)
+    val r = new Rel(1)
+    assert(r.add(Array("Aa")) && r.add(Array("BB")))
+    assert(!r.add(Array("Aa")) && !r.add(Array("BB")))
+    assert(r.contains(Array("BB")) && !r.contains(Array("Ab")))
+    assert(r.rows.map(_.toVector) == Seq(Vector("Aa"), Vector("BB")))
+  }
+
+  test("an arity-0 Rel holds exactly one row") {
+    val r = new Rel(0)
+    assert(!r.contains(Array.empty[String]))
+    assert(r.add(Array.empty[String]))
+    assert(!r.add(Array.empty[String]))
+    assert(r.size == 1 && r.contains(Array.empty[String]))
+  }
+
   test("HashIdx probes rows by column value") {
     val r = Rel.of(Seq(Array("a", "1"), Array("a", "2"), Array("b", "3")), 2)
     val idx = new HashIdx(r, IdxSpec.column(0)).refresh()

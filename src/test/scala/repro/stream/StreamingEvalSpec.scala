@@ -1,6 +1,7 @@
 package repro.stream
 
 import repro.{SparkSpec, TestWorkloads}
+import repro.bench.Harness
 import repro.core.TricEngine
 
 /** Structured Streaming front-end: replaying the update stream through
@@ -42,6 +43,17 @@ class StreamingEvalSpec extends SparkSpec {
     val events = StreamingEval.run(spark, streaming, queries, stream, batchSize = 50)
     val firstStream = events.groupBy(_.qid).view.mapValues(_.map(_.seq).min).toMap
     assert(firstStream == firstSeq.toMap)
+  }
+
+  test("every engine's match events, grouped by update, equal its direct replay's outputs") {
+    for (mk <- Harness.allEngines) {
+      val direct = mk()
+      direct.indexAll(queries)
+      val expected = stream.indices.map(i => i.toLong -> direct.onUpdate(stream(i)).toSet).filter(_._2.nonEmpty).toMap
+      val streaming = mk()
+      val events = StreamingEval.run(spark, streaming, queries, stream, batchSize = 97)
+      assert(events.groupBy(_.seq).view.mapValues(_.map(_.qid).toSet).toMap == expected, streaming.name)
+    }
   }
 
   test("streaming works with a batch size larger than the stream") {
