@@ -43,20 +43,30 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
 
   /** One trie node: a generic edge at a given depth. Its materialized view
     * has one column per path position 0..depth+1. Query ids are registered at
-    * the node ending one of their covering paths.
+    * the node ending one of their covering paths; `ends` holds the same
+    * registrations as the answering step reads them, (query slot, path
+    * index) pairs packed as `slot << 32 | index`. A node holds integers where
+    * it could hold references (its edge view is `keyViews(id)`, a query is
+    * `entries(slot)`), so nothing outside the trie is reachable from it.
+    * `stamp` is the last update that gave the node a delta, and `slot` that
+    * delta's place in the update's buffers.
     */
-  final class Node(val key: GEdge, val depth: Int, val parent: Node) {
+  final class Node(val key: GEdge, val depth: Int, val parent: Node, private[TricEngine] val id: Int) {
     val children = new mutable.ArrayBuffer[Node]
     val matV     = new Rel(depth + 2)
     val queries  = new mutable.ArrayBuffer[Int]
+    private[TricEngine] var ends  = Array.emptyLongArray
+    private[TricEngine] var stamp = 0
+    private[TricEngine] var slot  = 0
   }
 
   /** rootInd: first generic edge of a path → trie root. */
   val rootInd = mutable.HashMap.empty[GEdge, Node]
 
-  /** edgeInd: generic edge → every trie node keyed by it. The paper stores
-    * trie roots and DFS-walks to the node; we keep direct node references —
-    * the same lookups with the constant-factor walk removed.
+  /** edgeInd: generic edge → every trie node keyed by it, shallowest first.
+    * The paper stores trie roots and DFS-walks to the node; we keep direct
+    * node references — the same lookups with the constant-factor walk
+    * removed.
     */
   val edgeInd = mutable.HashMap.empty[GEdge, mutable.ArrayBuffer[Node]]
 
@@ -71,10 +81,31 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     */
   val queryInd = mutable.LinkedHashMap.empty[Int, (QueryPattern, FinalJoin, Vector[Node])]
 
+  /** A query's final join and the last node of each covering path, as
+    * `queryInd` holds them, at the query's slot in `entries`. For the update
+    * that last touched it (`stamp`), `seeds(0 until nSeeds)` are the paths
+    * whose end nodes received a delta.
+    */
+  private final class Entry(val qid: Int, val join: FinalJoin, val lasts: Vector[Node]) {
+    val views: Int => Rel = lasts(_).matV
+    val seeds  = new Array[Int](lasts.size)
+    var nSeeds = 0
+    var stamp  = 0
+  }
+  private val entries = new mutable.ArrayBuffer[Entry]
+
+  /** Each node's edge view, by node id. */
+  private val keyViews = new mutable.ArrayBuffer[Rel]
+
+  /** Updates that changed the graph so far: the stamp of the current one. */
+  private var updates = 0
+
   def indexQuery(q: QueryPattern): Unit = {
+    require(!queryInd.contains(q.id), s"query ${q.id} is already indexed")
+    val slot  = entries.size
     val paths = CoveringPaths.cover(q)
-    val lasts = paths.map { p =>
-      val gs = Generic.ofPath(p)
+    val lasts = paths.indices.map { t =>
+      val gs = Generic.ofPath(paths(t))
       var node: Node = rootInd.getOrElseUpdate(gs.head, mkNode(gs.head, 0, null))
       for (g <- gs.tail) {
         node = node.children.find(_.key == g).getOrElse {
@@ -84,15 +115,23 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
         }
       }
       node.queries += q.id
+      node.ends = java.util.Arrays.copyOf(node.ends, node.ends.length + 1)
+      node.ends(node.ends.length - 1) = slot.toLong << 32 | t
       node
-    }
-    queryInd(q.id) = (q, new FinalJoin(paths), lasts)
+    }.toVector
+    val join = new FinalJoin(paths)
+    queryInd(q.id) = (q, join, lasts)
+    entries += new Entry(q.id, join, lasts)
   }
 
   private def mkNode(g: GEdge, depth: Int, parent: Node): Node = {
-    val n = new Node(g, depth, parent)
-    edgeInd.getOrElseUpdate(g, new mutable.ArrayBuffer[Node]) += n
-    edgeMat.getOrElseUpdate(g, new Rel(2))
+    val n  = new Node(g, depth, parent, keyViews.size)
+    keyViews += edgeMat.getOrElseUpdate(g, new Rel(2))
+    // after every node of g no deeper than n, so edgeInd(g) stays in depth order
+    val ns = edgeInd.getOrElseUpdate(g, new mutable.ArrayBuffer[Node])
+    var i  = ns.size
+    while (i > 0 && ns(i - 1).depth > depth) i -= 1
+    ns.insert(i, n)
     n
   }
 
@@ -103,62 +142,128 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     for (g <- gens) fresh |= edgeMat(g).add(Array(e.src, e.dst))
     val matchedNow = mutable.LinkedHashSet.empty[Int]
     if (gens.isEmpty || !fresh) return matchedNow // duplicate edge: no-op
+    updates += 1
 
-    // 2. locate affected nodes (shallowest first so parents see their deltas
-    //    before deeper occurrences of the same edge are processed). While
-    //    propagating, collect the delta that reaches each path-end node: the
-    //    paper's final joins use "only the updated part of a materialized
-    //    view" (Fig. 11), never the full view.
-    val affectedNodes = gens.flatMap(edgeInd(_)).sortBy(_.depth)
-    val endDeltas = mutable.LinkedHashMap.empty[Node, Rows]
-
-    for (n <- affectedNodes) {
+    // 2. visit the affected nodes shallowest first (a merge of the
+    //    depth-ordered edgeInd lists), so parents see their deltas before
+    //    deeper occurrences of the same edge are processed. While
+    //    propagating, collect the delta that reaches each path-end node:
+    //    the paper's final joins use "only the updated part of a
+    //    materialized view" (Fig. 11), never the full view. `reached(i)`
+    //    is the i-th path-end node reached, `deltas(i)` its delta.
+    val reached = new mutable.ArrayBuffer[Node]
+    val deltas  = new mutable.ArrayBuffer[Rows]
+    val lists  = gens.iterator.map(edgeInd).toArray
+    val next   = new Array[Int](lists.length)
+    var l      = shallowest(lists, next)
+    while (l >= 0) {
+      val n = lists(l)(next(l))
+      next(l) += 1
       // a root's rows are the update itself; a deeper node joins its
       // parent's view with just the update tuple (parent rows whose tail
       // vertex is the update's source)
-      val rows =
-        if (n.parent == null) Iterator.single(Array(e.src, e.dst))
-        else jc.index(n.parent.matV, n.depth).probe(e.src).iterator.map(_ :+ e.dst)
       val delta = new Rows
-      rows.foreach(r => if (n.matV.add(r)) delta += r)
-      if (delta.nonEmpty) propagate(n, delta, endDeltas)
+      if (n.parent == null) {
+        val r = Array(e.src, e.dst)
+        if (n.matV.add(r)) delta += r
+      } else {
+        val hits = jc.index(n.parent.matV, n.depth).probe(e.src)
+        var i = 0
+        while (i < hits.size) {
+          val r = Rel.extend(hits(i), e.dst)
+          if (n.matV.add(r)) delta += r
+          i += 1
+        }
+      }
+      if (delta.nonEmpty) propagate(n, delta, reached, deltas)
+      l = shallowest(lists, next)
     }
 
     // 3. final joins: for every query registered at a path-end node that
     //    received a delta, join that DELTA against the other paths' full
     //    views — new answers only, like the paper's incremental-view joins.
-    val touched = mutable.LinkedHashMap.empty[Int, mutable.LinkedHashSet[Int]] // qid -> path indices
-    for ((node, _) <- endDeltas; qid <- node.queries) {
-      val (_, _, lasts) = queryInd(qid)
-      val idxs = touched.getOrElseUpdate(qid, mutable.LinkedHashSet.empty)
-      lasts.indices.foreach(i => if (lasts(i) eq node) idxs += i)
-    }
-    for ((qid, pathIdxs) <- touched) {
-      val (_, join, lasts) = queryInd(qid)
-      if (lasts.forall(_.matV.nonEmpty)) {
-        val rows = pathIdxs.iterator.flatMap(t => join.from(t, endDeltas(lasts(t)), lasts(_).matV, jc))
-        if (record(qid, join.vars, rows)) matchedNow += qid
+    //    A delta row was not in its view before, and the views are
+    //    complete, so every earlier answer's row of that path was: each
+    //    answer a delta gives is new. Only two seed paths of one query can
+    //    give the same answer, so only then are this update's rows deduped.
+    val touched = new mutable.ArrayBuffer[Entry]
+    for (n <- reached) {
+      var k = 0
+      while (k < n.ends.length) {
+        val en = entries((n.ends(k) >>> 32).toInt)
+        if (en.stamp != updates) {
+          en.stamp = updates
+          en.nSeeds = 0
+          touched += en
+        }
+        en.seeds(en.nSeeds) = n.ends(k).toInt
+        en.nSeeds += 1
+        k += 1
       }
+    }
+    for (en <- touched if en.lasts.forall(_.matV.nonEmpty)) {
+      def seeded(k: Int) = {
+        val t = en.seeds(k)
+        en.join.from(t, deltas(en.lasts(t).slot), en.views, jc)
+      }
+      val rows =
+        if (en.nSeeds == 1) seeded(0)
+        else Rel.of((0 until en.nSeeds).flatMap(seeded), en.join.vars.size).rows
+      if (recordNew(en.qid, en.join.vars, rows)) matchedNow += en.qid
     }
     matchedNow
   }
 
+  /** The list whose next node is shallowest (the first such on ties), or
+    * -1 when every list is done.
+    */
+  private def shallowest(lists: Array[mutable.ArrayBuffer[Node]], next: Array[Int]): Int = {
+    var best = -1
+    var j    = 0
+    while (j < lists.length) {
+      if (next(j) < lists(j).size &&
+          (best < 0 || lists(j)(next(j)).depth < lists(best)(next(best)).depth)) best = j
+      j += 1
+    }
+    best
+  }
+
   /** Push a delta down the sub-trie, pruning branches whose join is empty:
     * each child joins the delta with its edge view, probing the view's hash
-    * index from `jc`. Deltas reaching path-end nodes (nodes with registered
-    * queries) are accumulated into `endDeltas` for the final joins. A delta
-    * holds the rows `matV.add` just accepted, so it needs no dedup of its own.
+    * index from `jc`. Deltas reaching path-end nodes are accumulated for the
+    * final joins, one buffer per node and update. A delta holds the rows
+    * `matV.add` just accepted, so it needs no dedup of its own.
     */
-  private def propagate(n: Node, delta: Rows, endDeltas: mutable.LinkedHashMap[Node, Rows]): Unit = {
-    if (n.queries.nonEmpty) endDeltas.getOrElseUpdate(n, new Rows) ++= delta
-    for (c <- n.children) {
-      val childDelta = new Rows
-      val eIdx = jc.index(edgeMat(c.key), 0)
-      for (row <- delta; hit <- eIdx.probe(row(n.depth + 1))) {
-        val r = row :+ hit(1)
-        if (c.matV.add(r)) childDelta += r
+  private def propagate(n: Node, delta: Rows, reached: mutable.ArrayBuffer[Node],
+                        deltas: mutable.ArrayBuffer[Rows]): Unit = {
+    if (n.ends.length > 0) {
+      if (n.stamp != updates) {
+        n.stamp = updates
+        n.slot = reached.size
+        reached += n
+        deltas += new Rows
       }
-      if (childDelta.nonEmpty) propagate(c, childDelta, endDeltas)
+      deltas(n.slot) ++= delta
+    }
+    var ci = 0
+    while (ci < n.children.size) {
+      val c = n.children(ci)
+      val childDelta = new Rows
+      val eIdx = jc.index(keyViews(c.id), 0)
+      var i = 0
+      while (i < delta.size) {
+        val row  = delta(i)
+        val hits = eIdx.probe(row(n.depth + 1))
+        var j = 0
+        while (j < hits.size) {
+          val r = Rel.extend(row, hits(j)(1))
+          if (c.matV.add(r)) childDelta += r
+          j += 1
+        }
+        i += 1
+      }
+      if (childDelta.nonEmpty) propagate(c, childDelta, reached, deltas)
+      ci += 1
     }
   }
 

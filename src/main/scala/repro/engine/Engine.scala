@@ -12,9 +12,11 @@ import scala.collection.mutable
   *
   * `onUpdate` returns the ids of the queries that gained at least one new
   * binding because of the update (the paper's `mark_Matched`), the same ids
-  * from every engine; `satisfied` accumulates them and `bindings`
-  * accumulates every distinct variable binding discovered, so that at
-  * end-of-stream the engines can be diffed against the DuckDB oracle.
+  * from every engine; `satisfied` accumulates them and `bindings` holds
+  * every distinct variable binding discovered, so that at end-of-stream the
+  * engines can be diffed against the DuckDB oracle. Delta engines append
+  * the answers an update adds (`recordNew`); recomputing engines hand over
+  * every answer so far (`recordAll`).
   */
 trait ContinuousEngine {
   def name: String
@@ -28,40 +30,75 @@ trait ContinuousEngine {
 
   protected val satisfiedSet = mutable.LinkedHashSet.empty[Int]
 
-  /** Per query: its variables, the column order of its answer rows, and the
-    * distinct rows found so far. Maps are built only by `bindings`.
+  /** A query's answers: its variables, the column order of its rows, and
+    * each answer found so far, once, in the order found.
     */
-  private val bindingStore = mutable.HashMap.empty[Int, (Vector[String], Rel)]
+  private final class Answers(val vars: Vector[String], val rows: mutable.ArrayBuffer[Array[String]])
+
+  /** Per query, its answers. Append-only: nothing here deduplicates against
+    * the whole history, so an update pays for the rows it adds. Maps are
+    * built only by `bindings`.
+    */
+  private val answers = mutable.LongMap.empty[Answers]
 
   final def satisfied: collection.Set[Int] = satisfiedSet
-  final def bindings(qid: Int): Set[Binding] = bindingStore.get(qid) match {
-    case Some((vars, rel)) => rel.rows.iterator.map(r => vars.iterator.zip(r.iterator).toMap).toSet
-    case None              => Set.empty
+  final def bindings(qid: Int): Set[Binding] = answers.get(qid) match {
+    case Some(a) => a.rows.iterator.map(r => a.vars.iterator.zip(r.iterator).toMap).toSet
+    case None    => Set.empty
   }
 
-  /** Store the answer rows `rows` found for `qid`, one value per variable of
-    * `vars` in that order; true iff one of them was new, which is when
-    * `onUpdate` reports `qid`.
+  /** The number of answer rows stored for `qid`. */
+  private[repro] def storedRows(qid: Int): Int = answers.get(qid).fold(0)(_.rows.size)
+
+  private def answersOf(qid: Int, vars: Vector[String]): Option[Answers] = {
+    val a = answers.get(qid)
+    a.foreach(a => require(a.vars == vars, s"query $qid: rows over $vars, stored over ${a.vars}"))
+    a
+  }
+
+  /** Append `rows`, answers of `qid` that are new in this update and
+    * distinct, one value per variable of `vars` in that order; true iff
+    * there was one (the paper's `mark_Matched`), which is when `onUpdate`
+    * reports `qid`. The delta engines' final joins seed with rows their
+    * views accepted in this update, so each row they give is new; only two
+    * seed paths of one query can give the same answer, and the caller
+    * removes those.
     */
-  protected final def record(qid: Int, vars: Vector[String], rows: IterableOnce[Array[String]]): Boolean = {
+  protected final def recordNew(qid: Int, vars: Vector[String], rows: IterableOnce[Array[String]]): Boolean = {
     val it = rows.iterator
     if (!it.hasNext) return false
-    val (known, store) = bindingStore.getOrElseUpdate(qid, (vars, new Rel(vars.size)))
-    require(known == vars, s"query $qid: rows over $vars, stored over $known")
-    var gained = false
-    while (it.hasNext) gained |= store.add(it.next())
-    if (gained) satisfiedSet += qid
-    gained
+    answersOf(qid, vars) match {
+      case Some(a) => a.rows ++= it
+      case None    => answers(qid) = new Answers(vars, mutable.ArrayBuffer.from(it))
+    }
+    satisfiedSet += qid
+    true
   }
 
-  /** `record` for bindings given as maps, stored in the column order of the
-    * query's earlier answers, else in its variables' sorted order.
+  /** Replace the answers of `qid` with `rows`, every answer so far, each
+    * once, in `vars` order; true iff there are more than before. The stream
+    * only inserts, so a query's answers only grow, and the recomputing
+    * engines (INV, INV+, Neo4j) report `qid` exactly when it gained one.
+    */
+  protected final def recordAll(qid: Int, vars: Vector[String], rows: IterableOnce[Array[String]]): Boolean = {
+    val all = mutable.ArrayBuffer.from(rows)
+    val grew = all.size > answersOf(qid, vars).fold(0)(_.rows.size)
+    if (grew) {
+      answers(qid) = new Answers(vars, all)
+      satisfiedSet += qid
+    }
+    grew
+  }
+
+  /** `recordAll` for every answer so far given as maps, stored in the
+    * column order of the query's earlier answers, else in its variables'
+    * sorted order.
     */
   protected final def record(qid: Int, bs: IterableOnce[Binding]): Boolean = {
     val it = bs.iterator.buffered
     if (!it.hasNext) return false
-    val vars = bindingStore.get(qid).fold(it.head.keys.toVector.sorted)(_._1)
-    record(qid, vars, it.map(b => vars.iterator.map(b).toArray))
+    val vars = answers.get(qid).fold(it.head.keys.toVector.sorted)(_.vars)
+    recordAll(qid, vars, it.map(b => vars.iterator.map(b).toArray))
   }
 
   final def indexAll(qs: Iterable[QueryPattern]): Unit = qs.foreach(indexQuery)

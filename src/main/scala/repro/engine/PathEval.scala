@@ -59,7 +59,7 @@ object PathEval {
       val next = new mutable.ArrayBuffer[Array[String]]
       for (row <- cur; hit <- idx.probe(row(i))) {
         val t = hit(1)
-        if (eq(i + 1) == i + 1 || row(eq(i + 1)) == t) next += (row :+ t)
+        if (eq(i + 1) == i + 1 || row(eq(i + 1)) == t) next += Rel.extend(row, t)
       }
       cur = next
       i += 1
@@ -87,7 +87,7 @@ object PathEval {
         val mi  = matOf(gs(i)).getOrElse(new Rel(2))
         val idx = jc.index(mi, 0)
         val next = new mutable.ArrayBuffer[Array[String]]
-        for (row <- frontier; hit <- idx.probe(row.last)) next += (row :+ hit(1))
+        for (row <- frontier; hit <- idx.probe(row.last)) next += Rel.extend(row, hit(1))
         frontier = next
         i += 1
       }

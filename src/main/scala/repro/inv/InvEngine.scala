@@ -86,19 +86,25 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
           if (rels.exists(_.isEmpty)) Iterator.empty else join.from(t, seed.rows, rels, rebuild)
         }
 
-        val rows =
-          if (!incremental) joinFrom(0, full(0))
+        val gained =
+          if (!incremental) recordAll(qid, join.vars, joinFrom(0, full(0)))
           else {
             // INC: a new answer must use the update tuple on some touched
             // path, so the touched path is seeded with just the update tuple
             // — but, per the paper (INC is only ~54% faster than INV), the
             // OTHER covering paths are still materialized in full from the
             // per-edge views on every affected update; only the number of
-            // tuples examined on the touched path shrinks.
+            // tuples examined on the touched path shrinks. The update edge
+            // is fresh, so every answer using it is new; two touched paths
+            // can both give one, which is removed here.
             val touched = paths.indices.filter(i => paths(i).exists(pe => Generic.of(pe).matches(e)))
-            touched.iterator.flatMap(t => joinFrom(t, PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e)))
+            def seeded(t: Int) = joinFrom(t, PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e))
+            val rows =
+              if (touched.size == 1) seeded(touched.head)
+              else Rel.of(touched.flatMap(seeded), join.vars.size).rows
+            recordNew(qid, join.vars, rows)
           }
-        if (record(qid, join.vars, rows)) matchedNow += qid
+        if (gained) matchedNow += qid
       }
     }
     matchedNow

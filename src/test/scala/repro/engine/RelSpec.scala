@@ -45,6 +45,12 @@ class RelSpec extends AnyFunSuite {
     assert(r.rows.map(_.toVector) == Seq(Vector("Aa"), Vector("BB")))
   }
 
+  test("Rel's row hash keeps a grid of similar names apart") {
+    val names  = (0 until 100).map(i => s"v$i")
+    val hashes = for (a <- names; b <- names) yield Rel.hash(Array(a, b))
+    assert(hashes.distinct.size >= 9900)
+  }
+
   test("an arity-0 Rel holds exactly one row") {
     val r = new Rel(0)
     assert(!r.contains(Array.empty[String]))
