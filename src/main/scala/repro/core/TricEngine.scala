@@ -38,9 +38,6 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
 
   def name: String = if (jc.enabled) "TRIC+" else "TRIC"
 
-  /** The rows a view gained in one update. */
-  private type Rows = mutable.ArrayBuffer[Array[String]]
-
   /** One trie node: a generic edge at a given depth. Its materialized view
     * has one column per path position 0..depth+1. Query ids are registered at
     * the node ending one of their covering paths; `ends` holds the same
@@ -48,8 +45,9 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     * index) pairs packed as `slot << 32 | index`. A node holds integers where
     * it could hold references (its edge view is `keyViews(id)`, a query is
     * `entries(slot)`), so nothing outside the trie is reachable from it.
-    * `stamp` is the last update that gave the node a delta, and `slot` that
-    * delta's place in the update's buffers.
+    * `stamp` is the last update that gave the node a delta, and `mark` the
+    * size of its view before that update: the update's delta is
+    * `matV.rows` from `mark` on.
     */
   final class Node(val key: GEdge, val depth: Int, val parent: Node, private[TricEngine] val id: Int) {
     val children = new mutable.ArrayBuffer[Node]
@@ -57,7 +55,7 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     val queries  = new mutable.ArrayBuffer[Int]
     private[TricEngine] var ends  = Array.emptyLongArray
     private[TricEngine] var stamp = 0
-    private[TricEngine] var slot  = 0
+    private[TricEngine] var mark  = 0
   }
 
   /** rootInd: first generic edge of a path → trie root. */
@@ -84,10 +82,15 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   /** A query's final join and the last node of each covering path, as
     * `queryInd` holds them, at the query's slot in `entries`. For the update
     * that last touched it (`stamp`), `seeds(0 until nSeeds)` are the paths
-    * whose end nodes received a delta.
+    * whose end nodes received a delta. `limits(t)` is how many rows of path
+    * `t`'s view the final join reads: every one, but while the update's
+    * later seeds are joined, only those from before the update for a path
+    * already seeded.
     */
   private final class Entry(val qid: Int, val join: FinalJoin, val lasts: Vector[Node]) {
     val views: Int => Rel = lasts(_).matV
+    val limits = Array.fill(lasts.size)(Int.MaxValue)
+    val limit: Int => Int = limits(_)
     val seeds  = new Array[Int](lasts.size)
     var nSeeds = 0
     var stamp  = 0
@@ -136,56 +139,58 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   }
 
   def onUpdate(e: Edge): collection.Set[Int] = {
-    val gens = Generic.generalizations(e).filter(edgeMat.contains)
     // 1. extend the shared per-edge views with the update
+    val edge  = Array(e.src, e.dst)
+    val lists = new mutable.ArrayBuffer[mutable.ArrayBuffer[Node]](4)
     var fresh = false
-    for (g <- gens) fresh |= edgeMat(g).add(Array(e.src, e.dst))
+    for (g <- Generic.generalizations(e)) edgeMat.get(g).foreach { v =>
+      fresh |= v.add(edge)
+      lists += edgeInd(g)
+    }
     val matchedNow = mutable.LinkedHashSet.empty[Int]
-    if (gens.isEmpty || !fresh) return matchedNow // duplicate edge: no-op
+    if (!fresh) return matchedNow // no view, or a duplicate edge: no-op
     updates += 1
 
     // 2. visit the affected nodes shallowest first (a merge of the
     //    depth-ordered edgeInd lists), so parents see their deltas before
     //    deeper occurrences of the same edge are processed. While
-    //    propagating, collect the delta that reaches each path-end node:
-    //    the paper's final joins use "only the updated part of a
-    //    materialized view" (Fig. 11), never the full view. `reached(i)`
-    //    is the i-th path-end node reached, `deltas(i)` its delta.
+    //    propagating, collect the path-end nodes reached: the paper's final
+    //    joins use "only the updated part of a materialized view" (Fig. 11),
+    //    never the full view, and a node's view gained exactly its rows
+    //    from `mark` on.
     val reached = new mutable.ArrayBuffer[Node]
-    val deltas  = new mutable.ArrayBuffer[Rows]
-    val lists  = gens.iterator.map(edgeInd).toArray
-    val next   = new Array[Int](lists.length)
-    var l      = shallowest(lists, next)
+    val next    = new Array[Int](lists.length)
+    var l       = shallowest(lists, next)
     while (l >= 0) {
       val n = lists(l)(next(l))
       next(l) += 1
       // a root's rows are the update itself; a deeper node joins its
       // parent's view with just the update tuple (parent rows whose tail
       // vertex is the update's source)
-      val delta = new Rows
-      if (n.parent == null) {
-        val r = Array(e.src, e.dst)
-        if (n.matV.add(r)) delta += r
-      } else {
-        val hits = jc.index(n.parent.matV, n.depth).probe(e.src)
-        var i = 0
-        while (i < hits.size) {
-          val r = Rel.extend(hits(i), e.dst)
-          if (n.matV.add(r)) delta += r
-          i += 1
+      val lo = n.matV.size
+      if (n.parent == null) n.matV.add(edge)
+      else {
+        val idx = jc.index(n.parent.matV, n.depth)
+        var h   = idx.first(e.src)
+        while (h >= 0) {
+          n.matV.add(Rel.extend(n.parent.matV.rows(h), e.dst))
+          h = idx.next(h)
         }
       }
-      if (delta.nonEmpty) propagate(n, delta, reached, deltas)
+      if (n.matV.size > lo) propagate(n, lo, reached)
       l = shallowest(lists, next)
     }
 
     // 3. final joins: for every query registered at a path-end node that
-    //    received a delta, join that DELTA against the other paths' full
-    //    views — new answers only, like the paper's incremental-view joins.
-    //    A delta row was not in its view before, and the views are
-    //    complete, so every earlier answer's row of that path was: each
-    //    answer a delta gives is new. Only two seed paths of one query can
-    //    give the same answer, so only then are this update's rows deduped.
+    //    received a delta, join that DELTA against the other paths' views —
+    //    new answers only, like the paper's incremental-view joins. A delta
+    //    row was not in its view before, and the views are complete, so
+    //    every earlier answer's row of that path was: each answer a delta
+    //    gives is new. When several paths of a query are seeded, each seed
+    //    reads the paths seeded before it only up to their marks (the
+    //    semi-naive rule ΔQ = ⋃ₖ V₁ᵒˡᵈ…Vₖ₋₁ᵒˡᵈ Δₖ Vₖ₊₁ⁿᵉʷ…Vₙⁿᵉʷ), so an answer
+    //    comes only from the seed of its first new row, and no seed repeats
+    //    another's answer.
     val touched = new mutable.ArrayBuffer[Entry]
     for (n <- reached) {
       var k = 0
@@ -202,14 +207,19 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
       }
     }
     for (en <- touched if en.lasts.forall(_.matV.nonEmpty)) {
-      def seeded(k: Int) = {
+      var gained = false
+      var k = 0
+      while (k < en.nSeeds) {
         val t = en.seeds(k)
-        en.join.from(t, deltas(en.lasts(t).slot), en.views, jc)
+        val n = en.lasts(t)
+        val delta = n.matV.rows.view.slice(n.mark, n.matV.size)
+        gained |= recordNew(en.qid, en.join.vars, en.join.from(t, delta, en.views, jc, en.limit))
+        en.limits(t) = n.mark
+        k += 1
       }
-      val rows =
-        if (en.nSeeds == 1) seeded(0)
-        else Rel.of((0 until en.nSeeds).flatMap(seeded), en.join.vars.size).rows
-      if (recordNew(en.qid, en.join.vars, rows)) matchedNow += en.qid
+      k = 0
+      while (k < en.nSeeds) { en.limits(en.seeds(k)) = Int.MaxValue; k += 1 }
+      if (gained) matchedNow += en.qid
     }
     matchedNow
   }
@@ -217,7 +227,7 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   /** The list whose next node is shallowest (the first such on ties), or
     * -1 when every list is done.
     */
-  private def shallowest(lists: Array[mutable.ArrayBuffer[Node]], next: Array[Int]): Int = {
+  private def shallowest(lists: collection.Seq[mutable.ArrayBuffer[Node]], next: Array[Int]): Int = {
     var best = -1
     var j    = 0
     while (j < lists.length) {
@@ -228,41 +238,38 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     best
   }
 
-  /** Push a delta down the sub-trie, pruning branches whose join is empty:
-    * each child joins the delta with its edge view, probing the view's hash
-    * index from `jc`. Deltas reaching path-end nodes are accumulated for the
-    * final joins, one buffer per node and update. A delta holds the rows
-    * `matV.add` just accepted, so it needs no dedup of its own.
+  /** Push the delta of `n`, its view's rows from `lo` on, down the
+    * sub-trie, pruning branches whose join is empty: each child joins the
+    * delta with its edge view, probing the view's hash index from `jc`.
+    * Path-end nodes reached are collected for the final joins, each once
+    * per update with its view's size before the update as `mark`. A delta
+    * holds the rows `matV.add` just accepted, so it needs no dedup of its
+    * own.
     */
-  private def propagate(n: Node, delta: Rows, reached: mutable.ArrayBuffer[Node],
-                        deltas: mutable.ArrayBuffer[Rows]): Unit = {
-    if (n.ends.length > 0) {
-      if (n.stamp != updates) {
-        n.stamp = updates
-        n.slot = reached.size
-        reached += n
-        deltas += new Rows
-      }
-      deltas(n.slot) ++= delta
+  private def propagate(n: Node, lo: Int, reached: mutable.ArrayBuffer[Node]): Unit = {
+    if (n.ends.length > 0 && n.stamp != updates) {
+      n.stamp = updates
+      n.mark = lo
+      reached += n
     }
+    val rows = n.matV.rows
+    val hi   = rows.size
     var ci = 0
     while (ci < n.children.size) {
-      val c = n.children(ci)
-      val childDelta = new Rows
+      val c    = n.children(ci)
+      val cLo  = c.matV.size
       val eIdx = jc.index(keyViews(c.id), 0)
-      var i = 0
-      while (i < delta.size) {
-        val row  = delta(i)
-        val hits = eIdx.probe(row(n.depth + 1))
-        var j = 0
-        while (j < hits.size) {
-          val r = Rel.extend(row, hits(j)(1))
-          if (c.matV.add(r)) childDelta += r
-          j += 1
+      var i = lo
+      while (i < hi) {
+        val row = rows(i)
+        var h   = eIdx.first(row(n.depth + 1))
+        while (h >= 0) {
+          c.matV.add(Rel.extend(row, eIdx.rel.rows(h)(1)))
+          h = eIdx.next(h)
         }
         i += 1
       }
-      if (childDelta.nonEmpty) propagate(c, childDelta, reached, deltas)
+      if (c.matV.size > cLo) propagate(c, cLo, reached)
       ci += 1
     }
   }

@@ -61,8 +61,9 @@ trait ContinuousEngine {
     * there was one (the paper's `mark_Matched`), which is when `onUpdate`
     * reports `qid`. The delta engines' final joins seed with rows their
     * views accepted in this update, so each row they give is new; only two
-    * seed paths of one query can give the same answer, and the caller
-    * removes those.
+    * seed paths of one query can give the same answer. TRIC limits each
+    * seed's reads of the paths seeded before it so that none does; INC
+    * removes the repeats itself.
     */
   protected final def recordNew(qid: Int, vars: Vector[String], rows: IterableOnce[Array[String]]): Boolean = {
     val it = rows.iterator

@@ -57,9 +57,13 @@ object PathEval {
       val mi  = matOf(Generic.of(path(i))).getOrElse(return out)
       val idx = jc.index(mi, 0)
       val next = new mutable.ArrayBuffer[Array[String]]
-      for (row <- cur; hit <- idx.probe(row(i))) {
-        val t = hit(1)
-        if (eq(i + 1) == i + 1 || row(eq(i + 1)) == t) next += Rel.extend(row, t)
+      for (row <- cur) {
+        var h = idx.first(row(i))
+        while (h >= 0) {
+          val t = mi.rows(h)(1)
+          if (eq(i + 1) == i + 1 || row(eq(i + 1)) == t) next += Rel.extend(row, t)
+          h = idx.next(h)
+        }
       }
       cur = next
       i += 1
@@ -87,7 +91,10 @@ object PathEval {
         val mi  = matOf(gs(i)).getOrElse(new Rel(2))
         val idx = jc.index(mi, 0)
         val next = new mutable.ArrayBuffer[Array[String]]
-        for (row <- frontier; hit <- idx.probe(row.last)) next += Rel.extend(row, hit(1))
+        for (row <- frontier) {
+          var h = idx.first(row.last)
+          while (h >= 0) { next += Rel.extend(row, mi.rows(h)(1)); h = idx.next(h) }
+        }
         frontier = next
         i += 1
       }
@@ -96,7 +103,10 @@ object PathEval {
         val mj  = matOf(gs(j)).getOrElse(new Rel(2))
         val idx = jc.index(mj, 1) // probe by destination: extending to the left
         val next = new mutable.ArrayBuffer[Array[String]]
-        for (row <- frontier; hit <- idx.probe(row.head)) next += (hit(0) +: row)
+        for (row <- frontier) {
+          var h = idx.first(row.head)
+          while (h >= 0) { next += (mj.rows(h)(0) +: row); h = idx.next(h) }
+        }
         frontier = next
         j -= 1
       }
@@ -175,28 +185,47 @@ object PathEval {
     }
 
     /** Join `seed`, rows of path `t` (its delta, or its full relation),
-      * with every other path `i`'s relation `rel(i)`, whose indexes come
-      * from `jc`. Returns one fresh row per answer, its values in `vars`
-      * order. Distinct seed rows give distinct answers, so nothing is
-      * deduplicated here.
+      * with the rows of every other path `i`'s relation `rel(i)` below
+      * index `limit(i)`, whose indexes come from `jc`. Returns one fresh row
+      * per answer, its values in `vars` order. Distinct seed rows give
+      * distinct answers, so nothing is deduplicated here.
+      *
+      * The limits make the seeds of one update disjoint (semi-naive
+      * evaluation): when the paths seeded before seed k are limited to
+      * their rows from before the update, seed k gives exactly the new
+      * answers whose first new row, in seed order, is on its path.
       */
-    def from(t: Int, seed: collection.Seq[Array[String]], rel: Int => Rel, jc: JoinCache): Iterator[Array[String]] = {
+    def from(t: Int, seed: Iterable[Array[String]], rel: Int => Rel, jc: JoinCache,
+             limit: Int => Int = FinalJoin.noLimit): Iterator[Array[String]] = {
       val pl  = plan(t)
       val eq  = eqs(t)
       var acc = new mutable.ArrayBuffer[Array[String]]
       for (r <- seed if eq == null || consistent(r, eq)) acc += Rel.select(r, pos(t))
       for (p <- pl.probes if acc.nonEmpty) {
-        val idx = jc.index(rel(p.path), p.spec)
-        val out = new mutable.ArrayBuffer[Array[String]]
-        for (ar <- acc; pr <- idx.probe(Rel.key(ar, p.accKey))) {
-          val r = java.util.Arrays.copyOf(ar, ar.length + p.newPos.length)
-          var j = 0
-          while (j < p.newPos.length) { r(ar.length + j) = pr(p.newPos(j)); j += 1 }
-          out += r
+        val idx  = jc.index(rel(p.path), p.spec)
+        val rows = idx.rel.rows
+        val lim  = limit(p.path)
+        val out  = new mutable.ArrayBuffer[Array[String]]
+        for (ar <- acc) {
+          var h = idx.first(ar, p.accKey)
+          while (h >= lim) h = idx.next(h)
+          while (h >= 0) {
+            val pr = rows(h)
+            val r  = java.util.Arrays.copyOf(ar, ar.length + p.newPos.length)
+            var j  = 0
+            while (j < p.newPos.length) { r(ar.length + j) = pr(p.newPos(j)); j += 1 }
+            out += r
+            h = idx.next(h)
+          }
         }
         acc = out
       }
       if (pl.order == null) acc.iterator else acc.iterator.map(Rel.select(_, pl.order))
     }
+  }
+
+  object FinalJoin {
+    /** Every row of every path. */
+    val noLimit: Int => Int = _ => Int.MaxValue
   }
 }

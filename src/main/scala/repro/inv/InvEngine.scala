@@ -64,14 +64,15 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
   }
 
   def onUpdate(e: Edge): collection.Set[Int] = {
-    val gens = Generic.generalizations(e).filter(edgeMat.contains)
+    val views = Generic.generalizations(e).flatMap(g => edgeMat.get(g).map(g -> _))
+    val edge  = Array(e.src, e.dst)
     var fresh = false
-    for (g <- gens) fresh |= edgeMat(g).add(Array(e.src, e.dst))
+    for ((_, v) <- views) fresh |= v.add(edge)
     val matchedNow = mutable.LinkedHashSet.empty[Int]
-    if (gens.isEmpty || !fresh) return matchedNow
+    if (!fresh) return matchedNow
 
     // Step 1: locate affected queries, keep those whose views are all non-empty
-    val affected = gens.flatMap(edgeInd(_)).distinct
+    val affected = views.flatMap { case (g, _) => edgeInd(g) }.distinct
     for (qid <- affected) {
       val (_, join, gs) = queryInd(qid)
       if (gs.forall(g => edgeMat(g).nonEmpty)) {

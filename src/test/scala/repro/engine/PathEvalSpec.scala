@@ -148,6 +148,35 @@ class PathEvalSpec extends AnyFunSuite {
     }
   }
 
+  test("a row limit makes two seed paths over one view give disjoint new answers") {
+    // both covering paths genericize to ? l ?, so both read the one view and
+    // an update's delta seeds both
+    val q     = QueryPattern(0, Vector(pe(Vr("x"), "l", Vr("y")), pe(Vr("x"), "l", Vr("z"))))
+    val paths = CoveringPaths.cover(q)
+    assert(paths.size == 2 && paths.map(_.map(Generic.of)).distinct.size == 1, paths)
+    val rng = new scala.util.Random(5)
+    val old = Vector.fill(12)(Edge(s"n${rng.nextInt(4)}", "l", s"n${rng.nextInt(5)}"))
+    val now = Vector.fill(6)(Edge(s"n${rng.nextInt(4)}", "l", s"n${rng.nextInt(5)}"))
+    val view = new Rel(2)
+    old.foreach(e => view.add(Array(e.src, e.dst)))
+    val mark = view.size
+    now.foreach(e => view.add(Array(e.src, e.dst)))
+    val delta = view.rows.view.slice(mark, view.size).toVector
+    assert(delta.nonEmpty)
+
+    val fj = new PathEval.FinalJoin(paths)
+    val jc = new JoinCache(true)
+    def answers(t: Int, limit: Int => Int) = fj.from(t, delta, _ => view, jc, limit).map(_.toVector).toVector
+    val first  = answers(0, PathEval.FinalJoin.noLimit)
+    val second = answers(1, i => if (i == 0) mark else Int.MaxValue)
+    val expected = (BruteForce.bindings(old ++ now, q) -- BruteForce.bindings(old, q)).map(b => fj.vars.map(b))
+    assert(first.distinct.size == first.size && second.distinct.size == second.size)
+    assert(first.toSet.intersect(second.toSet).isEmpty)
+    assert((first ++ second).toSet == expected)
+    // without the limit, the second seed repeats answers of the first
+    assert(answers(1, PathEval.FinalJoin.noLimit).toSet.intersect(first.toSet).nonEmpty)
+  }
+
   test("eqClass maps repeated variables to their first position") {
     val terms = Vector[repro.query.Term](Vr("x"), Vr("y"), Vr("x"), Cst("k"))
     assert(PathEval.eqClass(terms) == Vector(0, 1, 0, 3))

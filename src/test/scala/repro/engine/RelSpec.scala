@@ -6,6 +6,13 @@ import repro.query.Vr
 /** Unit tests for relations, hash indexes and the incremental join cache. */
 class RelSpec extends AnyFunSuite {
 
+  /** The rows of `idx`'s chain from row index `first` on, newest first. */
+  private def chain(idx: HashIdx, first: Int): Seq[Array[String]] =
+    Iterator.iterate(first)(idx.next).takeWhile(_ >= 0).map(idx.rel.rows(_)).toSeq
+
+  /** The rows of a one-column `idx` whose key is `v`. */
+  private def probe(idx: HashIdx, v: String): Seq[Array[String]] = chain(idx, idx.first(v))
+
   test("Rel deduplicates rows on insert") {
     val r = new Rel(2)
     assert(r.add(Array("a", "b")))
@@ -62,41 +69,101 @@ class RelSpec extends AnyFunSuite {
   test("HashIdx probes rows by column value") {
     val r = Rel.of(Seq(Array("a", "1"), Array("a", "2"), Array("b", "3")), 2)
     val idx = new HashIdx(r, IdxSpec.column(0)).refresh()
-    assert(idx.probe("a").map(_(1)).toSet == Set("1", "2"))
-    assert(idx.probe("b").map(_(1)).toSet == Set("3"))
-    assert(idx.probe("z").isEmpty)
+    assert(probe(idx, "a").map(_(1)).toSet == Set("1", "2"))
+    assert(probe(idx, "b").map(_(1)).toSet == Set("3"))
+    assert(probe(idx, "z").isEmpty)
   }
 
   test("HashIdx refresh picks up rows appended after construction") {
     val r = new Rel(2)
     r.add(Array("a", "1"))
     val idx = new HashIdx(r, IdxSpec.column(0)).refresh()
-    assert(idx.probe("a").size == 1)
+    assert(probe(idx, "a").size == 1)
     r.add(Array("a", "2"))
-    assert(idx.probe("a").size == 1) // stale until refreshed
+    assert(probe(idx, "a").size == 1) // stale until refreshed
     idx.refresh()
-    assert(idx.probe("a").size == 2)
+    assert(probe(idx, "a").size == 2)
   }
 
   test("HashIdx can index the second column") {
     val r = Rel.of(Seq(Array("a", "x"), Array("b", "x")), 2)
     val idx = new HashIdx(r, IdxSpec.column(1)).refresh()
-    assert(idx.probe("x").map(_(0)).toSet == Set("a", "b"))
+    assert(probe(idx, "x").map(_(0)).toSet == Set("a", "b"))
   }
 
   test("a two-column HashIdx with an eq spec indexes only consistent rows") {
     // rows of a path ?x -> ?y -> ?x: position 2 repeats position 0
     val r = Rel.of(Seq(Array("a", "b", "a"), Array("a", "b", "c"), Array("a", "d", "a")), 3)
     val idx = new HashIdx(r, IdxSpec(Vector(0, 1), PathEval.eqClass(Vector(Vr("x"), Vr("y"), Vr("x"))))).refresh()
-    val probe = (x: String, y: String) => idx.probe(Rel.key(Array(x, y), Array(0, 1))).map(_.toVector)
-    assert(probe("a", "b") == Seq(Vector("a", "b", "a")))
-    assert(probe("a", "d") == Seq(Vector("a", "d", "a")))
-    assert(probe("b", "a").isEmpty)
+    val probe2 = (x: String, y: String) => chain(idx, idx.first(Array(x, y), Array(0, 1))).map(_.toVector)
+    assert(probe2("a", "b") == Seq(Vector("a", "b", "a")))
+    assert(probe2("a", "d") == Seq(Vector("a", "d", "a")))
+    assert(probe2("b", "a").isEmpty)
     r.add(Array("e", "f", "g"))
     r.add(Array("e", "f", "e"))
-    assert(probe("e", "f").isEmpty) // stale until refreshed
+    assert(probe2("e", "f").isEmpty) // stale until refreshed
     idx.refresh()
-    assert(probe("e", "f") == Seq(Vector("e", "f", "e")))
+    assert(probe2("e", "f") == Seq(Vector("e", "f", "e")))
+  }
+
+  test("HashIdx keeps keys with equal hashCode apart, in one column and in two") {
+    assert("Aa".hashCode == "BB".hashCode)
+    val one = Rel.of(Seq(Array("Aa", "1"), Array("BB", "2"), Array("Aa", "3")), 2)
+    val idx = new HashIdx(one, IdxSpec.column(0)).refresh()
+    assert(probe(idx, "Aa").map(_(1)) == Seq("3", "1"))
+    assert(probe(idx, "BB").map(_(1)) == Seq("2"))
+    assert(probe(idx, "Ab").isEmpty)
+    // every pair of Aa and BB has one hash under the per-value mix
+    val pairs = for (x <- Seq("Aa", "BB"); y <- Seq("Aa", "BB")) yield Array(x, y)
+    assert(pairs.map(p => Rel.hash(p)).distinct.size == 1)
+    val two  = Rel.of(pairs.zipWithIndex.map { case (p, i) => p :+ s"$i" }, 3)
+    val idx2 = new HashIdx(two, IdxSpec(Vector(0, 1), null)).refresh()
+    for ((p, i) <- pairs.zipWithIndex)
+      assert(chain(idx2, idx2.first(p, Array(0, 1))).map(_(2)) == Seq(s"$i"), p.toVector)
+    assert(idx2.first(Array("Aa", "Ab"), Array(0, 1)) == -1)
+  }
+
+  test("HashIdx keeps 10 000 keys through its growths, each chain newest first") {
+    val r   = new Rel(2)
+    val idx = new HashIdx(r, IdxSpec.column(0)).refresh() // built empty, grown by refreshes
+    assert(idx.first("k0") == -1)
+    for (batch <- 0 until 20) {
+      (batch * 1000 until (batch + 1) * 1000).foreach(i => r.add(Array(s"k${i % 10000}", s"v$i")))
+      idx.refresh()
+    }
+    for (k <- 0 until 10000)
+      assert(probe(idx, s"k$k").map(_(1)) == Seq(s"v${k + 10000}", s"v$k"), s"k$k")
+    assert(idx.first("k10000") == -1)
+  }
+
+  test("HashIdx never returns a row that breaks its spec's eq") {
+    // rows of a path ?x -> ?y -> ?x keyed on ?x alone
+    val r = Rel.of(Seq(Array("a", "b", "a"), Array("a", "c", "d"), Array("a", "e", "a"), Array("b", "c", "d")), 3)
+    val idx = new HashIdx(r, IdxSpec(Vector(0), PathEval.eqClass(Vector(Vr("x"), Vr("y"), Vr("x"))))).refresh()
+    assert(probe(idx, "a").map(_.toVector) == Seq(Vector("a", "e", "a"), Vector("a", "b", "a")))
+    assert(idx.first("b") == -1)
+    r.add(Array("b", "x", "y"))
+    idx.refresh()
+    assert(idx.first("b") == -1)
+  }
+
+  test("HashIdx shows rows appended after a refresh only after the next one") {
+    val r = Rel.of(Seq(Array("a", "b", "1")), 3)
+    val idx = new HashIdx(r, IdxSpec(Vector(0, 1), null)).refresh()
+    val ab = Array("a", "b")
+    (2 to 50).foreach(i => r.add(Array("a", "b", s"$i")))
+    r.add(Array("c", "d", "0"))
+    assert(chain(idx, idx.first(ab, Array(0, 1))).map(_(2)) == Seq("1"))
+    assert(idx.first(Array("c", "d"), Array(0, 1)) == -1)
+    idx.refresh()
+    assert(chain(idx, idx.first(ab, Array(0, 1))).map(_(2)) == (50 to 1 by -1).map(_.toString))
+    assert(chain(idx, idx.first(Array("x", "c", "d"), Array(1, 2))).map(_(2)) == Seq("0"))
+  }
+
+  test("a key's hash is the hash of its values as a row, wherever they sit") {
+    val row = Array("x", "a", "y", "b")
+    assert(Rel.hash(row, Array(1, 3)) == Rel.hash(Array("a", "b")))
+    assert(Rel.hash1("y") == Rel.hash(row, Array(2)) && Rel.hash1("y") == Rel.hash(Array("y")))
   }
 
   test("JoinCache keeps separate indexes for the same columns under different eq") {
@@ -105,8 +172,8 @@ class RelSpec extends AnyFunSuite {
     val loop = jc.index(r, IdxSpec(Vector(0), Vector(0, 0))) // ?x -> ?x
     val all  = jc.index(r, 0)
     assert(jc.builds == 2 && jc.size == 2)
-    assert(loop.probe("a").map(_.toVector) == Seq(Vector("a", "a")))
-    assert(all.probe("a").size == 2)
+    assert(probe(loop, "a").map(_.toVector) == Seq(Vector("a", "a")))
+    assert(probe(all, "a").size == 2)
     assert(jc.index(r, IdxSpec(Vector(0), Vector(0, 0))) eq loop) // equal specs share one index
     assert(jc.builds == 2)
   }
@@ -126,7 +193,7 @@ class RelSpec extends AnyFunSuite {
     val i2 = jc.index(r, 0)
     assert(i1 eq i2)
     assert(jc.builds == 1)
-    assert(i2.probe("a").size == 2)
+    assert(probe(i2, "a").size == 2)
     jc.index(r, 1)
     assert(jc.builds == 2) // different column = different build structure
   }
