@@ -182,15 +182,19 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     }
 
     // 3. final joins: for every query registered at a path-end node that
-    //    received a delta, join that DELTA against the other paths' views —
-    //    new answers only, like the paper's incremental-view joins. A delta
-    //    row was not in its view before, and the views are complete, so
-    //    every earlier answer's row of that path was: each answer a delta
-    //    gives is new. When several paths of a query are seeded, each seed
-    //    reads the paths seeded before it only up to their marks (the
-    //    semi-naive rule ΔQ = ⋃ₖ V₁ᵒˡᵈ…Vₖ₋₁ᵒˡᵈ Δₖ Vₖ₊₁ⁿᵉʷ…Vₙⁿᵉʷ), so an answer
-    //    comes only from the seed of its first new row, and no seed repeats
-    //    another's answer.
+    //    received a delta, join that DELTA against the other paths of its
+    //    group — new answers of the group only, like the paper's
+    //    incremental-view joins. A delta row was not in its view before,
+    //    and the views are complete, so every earlier answer's row of that
+    //    path was: each answer a delta gives is new. When several paths of
+    //    a group are seeded, each seed reads the paths seeded before it
+    //    only up to their marks (the semi-naive rule
+    //    ΔQ = ⋃ₖ V₁ᵒˡᵈ…Vₖ₋₁ᵒˡᵈ Δₖ Vₖ₊₁ⁿᵉʷ…Vₙⁿᵉʷ), so an answer comes only
+    //    from the seed of its first new row, and no seed repeats another's
+    //    answer. On the first update to pass a query's gate, a group whose
+    //    paths all had rows before it could have answers that were never
+    //    recorded (another group's view was still empty): it is computed in
+    //    full instead, from the smallest of its paths' views.
     val touched = new mutable.ArrayBuffer[Entry]
     for (n <- reached) {
       var k = 0
@@ -207,22 +211,41 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
       }
     }
     for (en <- touched if en.lasts.forall(_.matV.nonEmpty)) {
+      val join   = en.join
+      val fresh  = !active(en.qid)
       var gained = false
       var k = 0
       while (k < en.nSeeds) {
         val t = en.seeds(k)
         val n = en.lasts(t)
-        val delta = n.matV.rows.view.slice(n.mark, n.matV.size)
-        gained |= recordNew(en.qid, en.join.vars, en.join.from(t, delta, en.views, jc, en.limit))
-        en.limits(t) = n.mark
+        if (!fresh || !filledBefore(en, join.groupOf(t))) {
+          val delta = n.matV.rows.view.slice(n.mark, n.matV.size)
+          gained |= recordNew(en.qid, join.groupVars, join.groupOf(t), join.from(t, delta, en.views, jc, en.limit))
+          en.limits(t) = n.mark
+        }
         k += 1
       }
       k = 0
       while (k < en.nSeeds) { en.limits(en.seeds(k)) = Int.MaxValue; k += 1 }
-      if (gained) matchedNow += en.qid
+      if (fresh) for (g <- join.groups.indices if filledBefore(en, g)) {
+        val t = join.groups(g).minBy(en.lasts(_).matV.size)
+        gained |= recordNew(en.qid, join.groupVars, g, join.from(t, en.lasts(t).matV.rows, en.views, jc))
+      }
+      if (matched(en.qid, gained)) matchedNow += en.qid
     }
     matchedNow
   }
+
+  /** Whether every path of group `g` of `en` had rows before this update.
+    * Only such a group can have answers that were never recorded when the
+    * query first passes its gate; any other group's answers all use a row
+    * of a path whose rows are all new, so its delta holds them all.
+    */
+  private def filledBefore(en: Entry, g: Int): Boolean =
+    en.join.groups(g).forall { t =>
+      val n = en.lasts(t)
+      (if (n.stamp == updates) n.mark else n.matV.size) > 0
+    }
 
   /** The list whose next node is shallowest (the first such on ties), or
     * -1 when every list is done.

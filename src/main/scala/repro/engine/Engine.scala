@@ -14,9 +14,14 @@ import scala.collection.mutable
   * binding because of the update (the paper's `mark_Matched`), the same ids
   * from every engine; `satisfied` accumulates them and `bindings` holds
   * every distinct variable binding discovered, so that at end-of-stream the
-  * engines can be diffed against the DuckDB oracle. Delta engines append
-  * the answers an update adds (`recordNew`); recomputing engines hand over
-  * every answer so far (`recordAll`).
+  * engines can be diffed against the DuckDB oracle.
+  *
+  * A query's answers are stored factorized, as the answers of each of its
+  * groups (`PathEval.FinalJoin.groups`: covering paths connected by shared
+  * variables); its bindings are their product, expanded only by `bindings`.
+  * Delta engines append the rows an update adds to a group (`recordNew`,
+  * then `matched`); recomputing engines hand over every group's rows so far
+  * (`recordAll`).
   */
 trait ContinuousEngine {
   def name: String
@@ -30,76 +35,119 @@ trait ContinuousEngine {
 
   protected val satisfiedSet = mutable.LinkedHashSet.empty[Int]
 
-  /** A query's answers: its variables, the column order of its rows, and
-    * each answer found so far, once, in the order found.
+  /** A query's answers: the variables of each of its groups, the column
+    * order of that group's rows, and each group's answers found so far,
+    * once, in the order found.
     */
-  private final class Answers(val vars: Vector[String], val rows: mutable.ArrayBuffer[Array[String]])
+  private final class Answers(val vars: Vector[Vector[String]]) {
+    val rows = Array.fill(vars.size)(new mutable.ArrayBuffer[Array[String]])
+    def complete: Boolean = rows.forall(_.nonEmpty)
+  }
 
   /** Per query, its answers. Append-only: nothing here deduplicates against
-    * the whole history, so an update pays for the rows it adds. Maps are
-    * built only by `bindings`.
+    * the whole history, so an update pays for the group rows it adds. Maps
+    * are built only by `bindings`.
     */
   private val answers = mutable.LongMap.empty[Answers]
 
   final def satisfied: collection.Set[Int] = satisfiedSet
+
+  /** Every binding of `qid` so far: the product of its groups' answers. */
   final def bindings(qid: Int): Set[Binding] = answers.get(qid) match {
-    case Some(a) => a.rows.iterator.map(r => a.vars.iterator.zip(r.iterator).toMap).toSet
-    case None    => Set.empty
+    case Some(a) if a.complete =>
+      val out = Set.newBuilder[Binding]
+      val at  = new Array[Int](a.rows.length) // the row of each group, an odometer
+      var g   = 0
+      while (g >= 0) {
+        val b = Map.newBuilder[String, String]
+        var k = 0
+        while (k < at.length) {
+          val r = a.rows(k)(at(k))
+          var j = 0
+          while (j < r.length) { b += a.vars(k)(j) -> r(j); j += 1 }
+          k += 1
+        }
+        out += b.result()
+        g = at.length - 1
+        while (g >= 0 && { at(g) += 1; at(g) == a.rows(g).size }) { at(g) = 0; g -= 1 }
+      }
+      out.result()
+    case _ => Set.empty
   }
 
-  /** The number of answer rows stored for `qid`. */
-  private[repro] def storedRows(qid: Int): Int = answers.get(qid).fold(0)(_.rows.size)
+  /** The number of bindings of `qid`: the product of its group sizes. */
+  private[repro] def storedRows(qid: Int): Long =
+    answers.get(qid).fold(0L)(_.rows.foldLeft(1L)((n, g) => Math.multiplyExact(n, g.size.toLong)))
 
-  private def answersOf(qid: Int, vars: Vector[String]): Option[Answers] = {
-    val a = answers.get(qid)
-    a.foreach(a => require(a.vars == vars, s"query $qid: rows over $vars, stored over ${a.vars}"))
+  /** The number of group rows stored for `qid`: the sum of its group sizes. */
+  private[repro] def groupRows(qid: Int): Long = answers.get(qid).fold(0L)(_.rows.map(_.size.toLong).sum)
+
+  /** Whether answers of `qid` are stored: a delta engine computed every
+    * group of it in full once, and appends to them from then on.
+    */
+  protected final def active(qid: Int): Boolean = answers.contains(qid)
+
+  private def answersOf(qid: Int, vars: Vector[Vector[String]]): Answers = {
+    val a = answers.getOrElseUpdate(qid, new Answers(vars))
+    require((a.vars eq vars) || a.vars == vars, s"query $qid: rows over $vars, stored over ${a.vars}")
     a
   }
 
-  /** Append `rows`, answers of `qid` that are new in this update and
-    * distinct, one value per variable of `vars` in that order; true iff
-    * there was one (the paper's `mark_Matched`), which is when `onUpdate`
-    * reports `qid`. The delta engines' final joins seed with rows their
-    * views accepted in this update, so each row they give is new; only two
-    * seed paths of one query can give the same answer. TRIC limits each
-    * seed's reads of the paths seeded before it so that none does; INC
-    * removes the repeats itself.
+  /** Append `rows`, answers of group `g` of `qid` that are new in this
+    * update and distinct, one value per variable of `vars(g)` in that
+    * order; true iff there was one. Stores the query's answers, its groups
+    * over `vars`, on first use. The delta engines' final joins seed with
+    * rows their views accepted in this update, so each row they give is
+    * new; only two seed paths of one group can give the same answer. TRIC
+    * limits each seed's reads of the paths seeded before it so that none
+    * does; INC removes the repeats itself.
     */
-  protected final def recordNew(qid: Int, vars: Vector[String], rows: IterableOnce[Array[String]]): Boolean = {
-    val it = rows.iterator
-    if (!it.hasNext) return false
-    answersOf(qid, vars) match {
-      case Some(a) => a.rows ++= it
-      case None    => answers(qid) = new Answers(vars, mutable.ArrayBuffer.from(it))
-    }
-    satisfiedSet += qid
-    true
+  protected final def recordNew(qid: Int, vars: Vector[Vector[String]], g: Int,
+                                rows: IterableOnce[Array[String]]): Boolean = {
+    val a  = answersOf(qid, vars)
+    val n0 = a.rows(g).size
+    a.rows(g) ++= rows
+    a.rows(g).size > n0
   }
 
-  /** Replace the answers of `qid` with `rows`, every answer so far, each
-    * once, in `vars` order; true iff there are more than before. The stream
-    * only inserts, so a query's answers only grow, and the recomputing
-    * engines (INV, INV+, Neo4j) report `qid` exactly when it gained one.
+  /** Whether `qid` gained a binding in this update, given whether some
+    * group of it `gained` a row: so it did iff every group now has one (the
+    * paper's `mark_Matched`), which is when `onUpdate` reports `qid`.
     */
-  protected final def recordAll(qid: Int, vars: Vector[String], rows: IterableOnce[Array[String]]): Boolean = {
-    val all = mutable.ArrayBuffer.from(rows)
-    val grew = all.size > answersOf(qid, vars).fold(0)(_.rows.size)
+  protected final def matched(qid: Int, gained: Boolean): Boolean = {
+    val m = gained && answers.get(qid).exists(_.complete)
+    if (m) satisfiedSet += qid
+    m
+  }
+
+  /** Replace the answers of `qid` with `rows`, every answer so far of each
+    * group over `vars`, each once; true iff there are more bindings than
+    * before. The stream only inserts, so a group's answers only grow, and
+    * the recomputing engines (INV, INV+, Neo4j) report `qid` exactly when
+    * every group has a row and one gained a row.
+    */
+  protected final def recordAll(qid: Int, vars: Vector[Vector[String]],
+                                rows: Seq[IterableOnce[Array[String]]]): Boolean = {
+    val all  = rows.map(mutable.ArrayBuffer.from(_))
+    val old  = answers.get(qid)
+    val grew = all.forall(_.nonEmpty) && all.indices.exists(g => all(g).size > old.fold(0)(_.rows(g).size))
     if (grew) {
-      answers(qid) = new Answers(vars, all)
+      val a = answersOf(qid, vars)
+      all.indices.foreach(g => a.rows(g) = all(g))
       satisfiedSet += qid
     }
     grew
   }
 
-  /** `recordAll` for every answer so far given as maps, stored in the
-    * column order of the query's earlier answers, else in its variables'
-    * sorted order.
+  /** `recordAll` for every answer so far given as maps, stored as one group
+    * in the column order of the query's earlier answers, else in its
+    * variables' sorted order.
     */
   protected final def record(qid: Int, bs: IterableOnce[Binding]): Boolean = {
     val it = bs.iterator.buffered
     if (!it.hasNext) return false
-    val vars = answers.get(qid).fold(it.head.keys.toVector.sorted)(_.vars)
-    recordAll(qid, vars, it.map(b => vars.iterator.map(b).toArray))
+    val vars = answers.get(qid).fold(Vector(it.head.keys.toVector.sorted))(_.vars)
+    recordAll(qid, vars, Seq(it.map(b => vars.head.iterator.map(b).toArray)))
   }
 
   final def indexAll(qs: Iterable[QueryPattern]): Unit = qs.foreach(indexQuery)

@@ -115,16 +115,42 @@ object PathEval {
     out
   }
 
-  /** Seed-first ordering of path relations by shared-variable connectivity
-    * (avoids accidental cross products mid-join).
+  /** The paths that share variables, transitively: each query's groups,
+    * in the order of their first paths, each listing its paths in order. A
+    * query's answers are the product of its groups' answers; a path with no
+    * variable is a group of its own, with one answer when its edges exist.
     */
-  def orderByConnectivity(termVecs: Vector[Vector[Term]], startIdx: Int): Vector[Int] = {
+  def groupsOf(termVecs: Vector[Vector[Term]]): Vector[Vector[Int]] = {
+    val group = Array.fill(termVecs.size)(-1)
+    val out   = new mutable.ArrayBuffer[Vector[Int]]
+    for (t <- termVecs.indices if group(t) < 0) {
+      group(t) = out.size
+      val members = mutable.ArrayBuffer(t)
+      var k = 0
+      while (k < members.size) {
+        val vs = termVecs(members(k)).collect { case v: Vr => v }
+        for (i <- termVecs.indices if group(i) < 0 && termVecs(i).exists(vs.contains)) {
+          group(i) = out.size
+          members += i
+        }
+        k += 1
+      }
+      out += members.sorted.toVector
+    }
+    out.toVector
+  }
+
+  /** Seed-first ordering of the paths `members` of one group by
+    * shared-variable connectivity: every path after the first shares a
+    * variable with one before it, so no probe is a cross product.
+    */
+  def orderByConnectivity(termVecs: Vector[Vector[Term]], members: Vector[Int], startIdx: Int): Vector[Int] = {
     val order = mutable.ArrayBuffer(startIdx)
-    val left  = mutable.ArrayBuffer.from(termVecs.indices.filter(_ != startIdx))
+    val left  = mutable.ArrayBuffer.from(members.filter(_ != startIdx))
     while (left.nonEmpty) {
       val bound = order.flatMap(i => termVecs(i).collect { case Vr(n) => n }).toSet
       val next  = left.find(i => termVecs(i).exists { case Vr(n) => bound(n); case _ => false })
-        .getOrElse(left.head)
+        .getOrElse(throw new IllegalStateException(s"paths ${left.mkString(",")} share no variable with $order"))
       order += next
       left  -= next
     }
@@ -132,21 +158,38 @@ object PathEval {
   }
 
   /** The final join of one query across its covering paths (paper Fig. 9
-    * lines 8–13, incremental per Fig. 11) of TRIC(+), INV(+) and INC(+). The
-    * paths' terms are computed when the query is indexed; the rest of the
-    * plan — where each path's variables sit in its rows and, per seed path,
-    * the probe order and the index spec of every probe — once, on first use,
-    * so that indexing stays cheap and queries that never reach a final join
-    * hold no plan.
+    * lines 8–13, incremental per Fig. 11) of TRIC(+), INV(+) and INC(+),
+    * factorized: the paths split into groups connected by shared variables
+    * (`groups`), and the join of each group is computed apart, over the
+    * group's variables. The query's answers are the product of its groups'
+    * answers, which the engines store as its factors; nothing here expands
+    * that product. The paths' terms are computed when the query is indexed;
+    * the rest of the plan — the groups, where each path's variables sit in
+    * its rows and, per seed path, the probe order and the index spec of
+    * every probe — once, on first use, so that indexing stays cheap and
+    * queries that never reach a final join hold no plan.
     */
   final class FinalJoin(val paths: Vector[Path]) {
     private val terms = paths.map(pathTerms)
     private lazy val pathVars = terms.map(_.collect { case Vr(n) => n }.distinct)
 
-    /** The query's variables, sorted (as `QueryPattern.varNames`): the
-      * column order of every row `from` returns.
+    /** The paths of each group (see `groupsOf`). */
+    lazy val groups: Vector[Vector[Int]] = groupsOf(terms)
+
+    private lazy val groupIdx: Array[Int] = {
+      val g = new Array[Int](paths.size)
+      for (k <- groups.indices; t <- groups(k)) g(t) = k
+      g
+    }
+
+    /** The group of path `t`. */
+    def groupOf(t: Int): Int = groupIdx(t)
+
+    /** Each group's variables, sorted: the column order of the rows `from`
+      * returns for a seed path of that group. A query of one group has its
+      * variables in `QueryPattern.varNames` order.
       */
-    lazy val vars: Vector[String] = pathVars.flatten.distinct.sorted
+    lazy val groupVars: Vector[Vector[String]] = groups.map(_.flatMap(pathVars).distinct.sorted)
 
     /** Each path's repeated-variable classes, null when it has none. */
     private lazy val eqs = terms.map { ts =>
@@ -157,38 +200,45 @@ object PathEval {
     /** Each path's first row position of each of its variables. */
     private lazy val pos = terms.indices.map(i => pathVars(i).map(n => terms(i).indexOf(Vr(n))).toArray)
 
-    /** Probe path `path`'s rows, indexed under `spec`, with the joined row's
-      * `accKey` columns; a hit appends its values at `newPos`.
+    /** Probe path `path`'s rows, indexed under `spec`, with the group row's
+      * `accKey` columns; a hit writes its values at `newPos` into the group
+      * row's columns `newCols`.
       */
-    private final class Probe(val path: Int, val spec: IdxSpec, val accKey: Array[Int], val newPos: Array[Int])
+    private final class Probe(val path: Int, val spec: IdxSpec, val accKey: Array[Int],
+                              val newPos: Array[Int], val newCols: Array[Int])
 
-    /** The probes from seed path `t`, and where each of `vars` sits in a
-      * joined row (null when the joined row is already in `vars` order).
+    /** The probes from seed path `t`, and the group row's column of each of
+      * `t`'s variables.
       */
-    private final class Plan(val probes: Vector[Probe], val order: Array[Int])
+    private final class Plan(val seedCols: Array[Int], val probes: Vector[Probe])
     private val plans = new Array[Plan](paths.size)
 
     private def plan(t: Int): Plan = {
       if (plans(t) == null) {
-        var accVars = pathVars(t)
-        val probes = orderByConnectivity(terms, t).tail.map { i =>
+        val g    = groupOf(t)
+        val cols = groupVars(g)
+        var bound = pathVars(t).toSet
+        val probes = orderByConnectivity(terms, groups(g), t).tail.map { i =>
           val vs = pathVars(i)
-          val (shared, fresh) = vs.indices.partition(j => accVars.contains(vs(j)))
+          val (shared, fresh) = vs.indices.partition(j => bound(vs(j)))
           val spec  = IdxSpec(shared.map(pos(i)).toVector, eqs(i))
-          val probe = new Probe(i, spec, shared.map(j => accVars.indexOf(vs(j))).toArray, fresh.map(pos(i)).toArray)
-          accVars ++= fresh.map(vs)
+          val probe = new Probe(i, spec, shared.map(j => cols.indexOf(vs(j))).toArray,
+            fresh.map(pos(i)).toArray, fresh.map(j => cols.indexOf(vs(j))).toArray)
+          bound ++= fresh.map(vs)
           probe
         }
-        plans(t) = new Plan(probes, if (accVars == vars) null else vars.map(accVars.indexOf).toArray)
+        plans(t) = new Plan(pathVars(t).map(cols.indexOf).toArray, probes)
       }
       plans(t)
     }
 
     /** Join `seed`, rows of path `t` (its delta, or its full relation),
-      * with the rows of every other path `i`'s relation `rel(i)` below
-      * index `limit(i)`, whose indexes come from `jc`. Returns one fresh row
-      * per answer, its values in `vars` order. Distinct seed rows give
-      * distinct answers, so nothing is deduplicated here.
+      * with the rows of every other path `i` of `t`'s group, its relation
+      * `rel(i)` below index `limit(i)`, whose indexes come from `jc`.
+      * Returns one fresh row per answer of the group, its values in
+      * `groupVars(groupOf(t))` order, each written straight into its
+      * column. Distinct seed rows give distinct answers, so nothing is
+      * deduplicated here.
       *
       * The limits make the seeds of one update disjoint (semi-naive
       * evaluation): when the paths seeded before seed k are limited to
@@ -197,10 +247,17 @@ object PathEval {
       */
     def from(t: Int, seed: Iterable[Array[String]], rel: Int => Rel, jc: JoinCache,
              limit: Int => Int = FinalJoin.noLimit): Iterator[Array[String]] = {
-      val pl  = plan(t)
-      val eq  = eqs(t)
+      val pl    = plan(t)
+      val eq    = eqs(t)
+      val at    = pos(t)
+      val width = groupVars(groupOf(t)).size
       var acc = new mutable.ArrayBuffer[Array[String]]
-      for (r <- seed if eq == null || consistent(r, eq)) acc += Rel.select(r, pos(t))
+      for (r <- seed if eq == null || consistent(r, eq)) {
+        val a = new Array[String](width)
+        var j = 0
+        while (j < at.length) { a(pl.seedCols(j)) = r(at(j)); j += 1 }
+        acc += a
+      }
       for (p <- pl.probes if acc.nonEmpty) {
         val idx  = jc.index(rel(p.path), p.spec)
         val rows = idx.rel.rows
@@ -210,17 +267,19 @@ object PathEval {
           var h = idx.first(ar, p.accKey)
           while (h >= lim) h = idx.next(h)
           while (h >= 0) {
+            // a path row is fixed by its variables, so a probe binding no
+            // new one has at most one hit and keeps the row as it is
             val pr = rows(h)
-            val r  = java.util.Arrays.copyOf(ar, ar.length + p.newPos.length)
+            val r  = if (p.newPos.length == 0) ar else ar.clone()
             var j  = 0
-            while (j < p.newPos.length) { r(ar.length + j) = pr(p.newPos(j)); j += 1 }
+            while (j < p.newPos.length) { r(p.newCols(j)) = pr(p.newPos(j)); j += 1 }
             out += r
             h = idx.next(h)
           }
         }
         acc = out
       }
-      if (pl.order == null) acc.iterator else acc.iterator.map(Rel.select(_, pl.order))
+      acc.iterator
     }
   }
 

@@ -77,19 +77,22 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
       val (_, join, gs) = queryInd(qid)
       if (gs.forall(g => edgeMat(g).nonEmpty)) {
         // Steps 2–3: materialize each covering path, then join the paths
+        // of each group
         val paths = join.paths
         val fullCache = mutable.HashMap.empty[Int, Rel]
         def full(i: Int): Rel =
           fullCache.getOrElseUpdate(i, PathEval.evalPathFull(paths(i), edgeMat.get, jc))
-        // the final join seeded with `seed`, rows of path t
-        def joinFrom(t: Int, seed: Rel): Iterator[Array[String]] = {
-          val rels = paths.indices.map(i => if (i == t) seed else full(i))
-          if (rels.exists(_.isEmpty)) Iterator.empty else join.from(t, seed.rows, rels, rebuild)
+        // every answer of group g, from its first path's full relation
+        def whole(g: Int): Iterator[Array[String]] = {
+          val t = join.groups(g).head
+          join.from(t, full(t).rows, full, rebuild)
         }
 
         val gained =
-          if (!incremental) recordAll(qid, join.vars, joinFrom(0, full(0)))
-          else {
+          if (!incremental) {
+            paths.indices.foreach(full)
+            recordAll(qid, join.groupVars, join.groups.indices.map(whole))
+          } else {
             // INC: a new answer must use the update tuple on some touched
             // path, so the touched path is seeded with just the update tuple
             // — but, per the paper (INC is only ~54% faster than INV), the
@@ -97,13 +100,25 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
             // per-edge views on every affected update; only the number of
             // tuples examined on the touched path shrinks. The update edge
             // is fresh, so every answer using it is new; two touched paths
-            // can both give one, which is removed here.
+            // of one group can both give one, which is removed here. The
+            // first update past the gate computes every group in full
+            // instead, since a group could have answers while another's
+            // view was empty.
             val touched = paths.indices.filter(i => paths(i).exists(pe => Generic.of(pe).matches(e)))
-            def seeded(t: Int) = joinFrom(t, PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e))
-            val rows =
-              if (touched.size == 1) seeded(touched.head)
-              else Rel.of(touched.flatMap(seeded), join.vars.size).rows
-            recordNew(qid, join.vars, rows)
+            paths.indices.filterNot(touched.contains).foreach(full)
+            def seeded(t: Int) = {
+              val seed = PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e)
+              join.from(t, seed.rows, i => if (i == t) seed else full(i), rebuild)
+            }
+            val gains =
+              if (!active(qid)) join.groups.indices.map(g => recordNew(qid, join.groupVars, g, whole(g)))
+              else touched.groupBy(join.groupOf(_)).map { case (g, ts) =>
+                val rows =
+                  if (ts.size == 1) seeded(ts.head)
+                  else Rel.of(ts.flatMap(seeded), join.groupVars(g).size).rows
+                recordNew(qid, join.groupVars, g, rows)
+              }
+            matched(qid, gains.exists(identity))
           }
         if (gained) matchedNow += qid
       }

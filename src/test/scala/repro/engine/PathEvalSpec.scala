@@ -98,7 +98,7 @@ class PathEvalSpec extends AnyFunSuite {
     val jc = new JoinCache(false)
     val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
     val fj = new PathEval.FinalJoin(Vector(p1, p2))
-    val bs = fj.from(0, rs(0).rows, rs, jc).map(r => fj.vars.zip(r).toMap).toSet
+    val bs = fj.from(0, rs(0).rows, rs, jc).map(r => fj.groupVars.head.zip(r).toMap).toSet
     // only p2 posted both pst1 and pst2
     assert(bs == Set(Map("x" -> "f2", "y" -> "p2")))
   }
@@ -115,8 +115,14 @@ class PathEvalSpec extends AnyFunSuite {
     val jc = new JoinCache(false)
     val rs = Vector(PathEval.evalPathFull(p1, fn, jc), PathEval.evalPathFull(p2, fn, jc))
     val fj = new PathEval.FinalJoin(Vector(p1, p2))
-    val bs = fj.from(0, rs(0).rows, rs, jc).map(r => fj.vars.zip(r).toMap).toSet
-    assert(bs.size == 2) // 2 hasMod rows x 1 containedIn row
+    // two groups, joined apart: the query's answers are their product
+    assert(fj.groups == Vector(Vector(0), Vector(1)))
+    assert(fj.groupVars == Vector(Vector("x", "y"), Vector("w", "z")))
+    val g0 = fj.from(0, rs(0).rows, rs, jc).map(_.toVector).toSet
+    val g1 = fj.from(1, rs(1).rows, rs, jc).map(_.toVector).toSet
+    assert(g0 == Set(Vector("f1", "p1"), Vector("f2", "p2")))
+    assert(g1 == Set(Vector("fo1", "pst1")))
+    assert(g0.size * g1.size == 2) // 2 hasMod rows x 1 containedIn row
   }
 
   test("final-join rows follow the sorted variables from every seed path") {
@@ -130,7 +136,7 @@ class PathEvalSpec extends AnyFunSuite {
       Edge("z3", "a", "y4"))
     val paths = CoveringPaths.cover(q)
     val fj    = new PathEval.FinalJoin(paths)
-    assert(fj.vars == q.varNames)
+    assert(fj.groupVars == Vector(q.varNames))
     assert(paths.size == 3, paths)
     val expected = BruteForce.bindings(es, q)
     assert(expected.size == 5)
@@ -138,7 +144,7 @@ class PathEvalSpec extends AnyFunSuite {
     val jc = new JoinCache(false)
     val rs = paths.map(PathEval.evalPathFull(_, fn, jc))
     for (t <- paths.indices)
-      assert(fj.from(t, rs(t).rows, rs, jc).map(_.toVector).toSet == expected.map(b => fj.vars.map(b)), s"seed $t")
+      assert(fj.from(t, rs(t).rows, rs, jc).map(_.toVector).toSet == expected.map(b => fj.groupVars.head.map(b)), s"seed $t")
 
     val engines = Seq(new TricEngine(false), new TricEngine(true), new InvEngine(true, true), new GraphDbEngine)
     for (e <- engines) {
@@ -169,7 +175,7 @@ class PathEvalSpec extends AnyFunSuite {
     def answers(t: Int, limit: Int => Int) = fj.from(t, delta, _ => view, jc, limit).map(_.toVector).toVector
     val first  = answers(0, PathEval.FinalJoin.noLimit)
     val second = answers(1, i => if (i == 0) mark else Int.MaxValue)
-    val expected = (BruteForce.bindings(old ++ now, q) -- BruteForce.bindings(old, q)).map(b => fj.vars.map(b))
+    val expected = (BruteForce.bindings(old ++ now, q) -- BruteForce.bindings(old, q)).map(b => fj.groupVars.head.map(b))
     assert(first.distinct.size == first.size && second.distinct.size == second.size)
     assert(first.toSet.intersect(second.toSet).isEmpty)
     assert((first ++ second).toSet == expected)
