@@ -21,9 +21,11 @@ import scala.collection.mutable
   * `edgeInd`; the node's view is extended by joining its parent's view with
   * just the update tuple (incremental, not a full re-join), and the delta is
   * propagated down the sub-trie — a sub-trie whose delta join comes up empty
-  * is pruned. Queries registered at reached path-end nodes are then answered
-  * by the shared [[FinalJoin]], seeded with the delta (applying the
-  * variable-equality constraints the genericization dropped).
+  * is pruned. Both steps follow the semi-naive rule
+  * Δn = (Δparent ⋈ E) ∪ (parentᵒˡᵈ ⋈ ΔE), so every view row is derived
+  * once and appended as it is. Queries registered at reached path-end nodes
+  * are then answered by the shared [[FinalJoin]], seeded with the delta
+  * (applying the variable-equality constraints the genericization dropped).
   *
   * Every hash join — parent step, propagation and final join — takes its
   * build structure from the engine's [[JoinCache]], which alone decides
@@ -47,7 +49,9 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     * `entries(slot)`), so nothing outside the trie is reachable from it.
     * `stamp` is the last update that gave the node a delta, and `mark` the
     * size of its view before that update: the update's delta is
-    * `matV.rows` from `mark` on.
+    * `matV.rows` from `mark` on, and its rows before it are those below
+    * `mark`. Every row of `matV` is derived once, so the view is built by
+    * `Rel.append` and holds no dedup table.
     */
   final class Node(val key: GEdge, val depth: Int, val parent: Node, private[TricEngine] val id: Int) {
     val children = new mutable.ArrayBuffer[Node]
@@ -61,10 +65,9 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   /** rootInd: first generic edge of a path → trie root. */
   val rootInd = mutable.HashMap.empty[GEdge, Node]
 
-  /** edgeInd: generic edge → every trie node keyed by it, shallowest first.
-    * The paper stores trie roots and DFS-walks to the node; we keep direct
-    * node references — the same lookups with the constant-factor walk
-    * removed.
+  /** edgeInd: generic edge → every trie node keyed by it. The paper stores
+    * trie roots and DFS-walks to the node; we keep direct node references —
+    * the same lookups with the constant-factor walk removed.
     */
   val edgeInd = mutable.HashMap.empty[GEdge, mutable.ArrayBuffer[Node]]
 
@@ -103,7 +106,15 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   /** Updates that changed the graph so far: the stamp of the current one. */
   private var updates = 0
 
+  /** Whether `onUpdate` was called: the graph is no longer empty. */
+  private var started = false
+
+  /** Index `q`. Every query must be indexed before the first update: a
+    * view created later would miss the edges before it, and views are
+    * extended only by deltas.
+    */
   def indexQuery(q: QueryPattern): Unit = {
+    require(!started, s"query ${q.id} indexed after the first update; index every query before the stream starts")
     require(!queryInd.contains(q.id), s"query ${q.id} is already indexed")
     val slot  = entries.size
     val paths = CoveringPaths.cover(q)
@@ -130,55 +141,38 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   private def mkNode(g: GEdge, depth: Int, parent: Node): Node = {
     val n  = new Node(g, depth, parent, keyViews.size)
     keyViews += edgeMat.getOrElseUpdate(g, new Rel(2))
-    // after every node of g no deeper than n, so edgeInd(g) stays in depth order
-    val ns = edgeInd.getOrElseUpdate(g, new mutable.ArrayBuffer[Node])
-    var i  = ns.size
-    while (i > 0 && ns(i - 1).depth > depth) i -= 1
-    ns.insert(i, n)
+    edgeInd.getOrElseUpdate(g, new mutable.ArrayBuffer[Node]) += n
     n
   }
 
   def onUpdate(e: Edge): collection.Set[Int] = {
-    // 1. extend the shared per-edge views with the update
+    started = true
+    // 1. extend the shared per-edge views with the update; ΔE = {e} for
+    //    exactly the nodes of the views that accepted it
     val edge  = Array(e.src, e.dst)
     val lists = new mutable.ArrayBuffer[mutable.ArrayBuffer[Node]](4)
-    var fresh = false
     for (g <- Generic.generalizations(e)) edgeMat.get(g).foreach { v =>
-      fresh |= v.add(edge)
-      lists += edgeInd(g)
+      if (v.add(edge)) lists += edgeInd(g)
     }
     val matchedNow = mutable.LinkedHashSet.empty[Int]
-    if (!fresh) return matchedNow // no view, or a duplicate edge: no-op
+    if (lists.isEmpty) return matchedNow // no view, or a duplicate edge: no-op
     updates += 1
 
-    // 2. visit the affected nodes shallowest first (a merge of the
-    //    depth-ordered edgeInd lists), so parents see their deltas before
-    //    deeper occurrences of the same edge are processed. While
+    // 2. extend the trie views by Δn = (Δparent ⋈ E) ∪ (parentᵒˡᵈ ⋈ ΔE):
+    //    `joinUpdate` adds the second term at every node whose edge view
+    //    accepted e, and `propagate` pushes each node's new rows down the
+    //    sub-trie, the first term at its children. The two terms are
+    //    disjoint and neither repeats a row, so rows are appended as they
+    //    are and the order of the visits does not matter. While
     //    propagating, collect the path-end nodes reached: the paper's final
     //    joins use "only the updated part of a materialized view" (Fig. 11),
     //    never the full view, and a node's view gained exactly its rows
     //    from `mark` on.
     val reached = new mutable.ArrayBuffer[Node]
-    val next    = new Array[Int](lists.length)
-    var l       = shallowest(lists, next)
-    while (l >= 0) {
-      val n = lists(l)(next(l))
-      next(l) += 1
-      // a root's rows are the update itself; a deeper node joins its
-      // parent's view with just the update tuple (parent rows whose tail
-      // vertex is the update's source)
+    for (ns <- lists; n <- ns) {
       val lo = n.matV.size
-      if (n.parent == null) n.matV.add(edge)
-      else {
-        val idx = jc.index(n.parent.matV, n.depth)
-        var h   = idx.first(e.src)
-        while (h >= 0) {
-          n.matV.add(Rel.extend(n.parent.matV.rows(h), e.dst))
-          h = idx.next(h)
-        }
-      }
+      joinUpdate(n, e, edge)
       if (n.matV.size > lo) propagate(n, lo, reached)
-      l = shallowest(lists, next)
     }
 
     // 3. final joins: for every query registered at a path-end node that
@@ -236,6 +230,29 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     matchedNow
   }
 
+  /** Append to `n`'s view the second term of the semi-naive rule: its
+    * parent's rows from before the update (below `mark` if the parent has
+    * a delta, all of them if it has none yet) joined with the update
+    * alone, with no index built when there are none; for a root, the
+    * update itself.
+    */
+  private def joinUpdate(n: Node, e: Edge, edge: Array[String]): Unit = {
+    val p = n.parent
+    if (p == null) n.matV.append(edge)
+    else {
+      val old = if (p.stamp == updates) p.mark else p.matV.size
+      if (old > 0) {
+        val idx = jc.index(p.matV, n.depth)
+        var h   = idx.first(e.src)
+        while (h >= old) h = idx.next(h)
+        while (h >= 0) {
+          n.matV.append(Rel.extend(p.matV.rows(h), e.dst))
+          h = idx.next(h)
+        }
+      }
+    }
+  }
+
   /** Whether every path of group `g` of `en` had rows before this update.
     * Only such a group can have answers that were never recorded when the
     * query first passes its gate; any other group's answers all use a row
@@ -247,33 +264,21 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
       (if (n.stamp == updates) n.mark else n.matV.size) > 0
     }
 
-  /** The list whose next node is shallowest (the first such on ties), or
-    * -1 when every list is done.
-    */
-  private def shallowest(lists: collection.Seq[mutable.ArrayBuffer[Node]], next: Array[Int]): Int = {
-    var best = -1
-    var j    = 0
-    while (j < lists.length) {
-      if (next(j) < lists(j).size &&
-          (best < 0 || lists(j)(next(j)).depth < lists(best)(next(best)).depth)) best = j
-      j += 1
-    }
-    best
-  }
-
-  /** Push the delta of `n`, its view's rows from `lo` on, down the
-    * sub-trie, pruning branches whose join is empty: each child joins the
-    * delta with its edge view, probing the view's hash index from `jc`.
-    * Path-end nodes reached are collected for the final joins, each once
-    * per update with its view's size before the update as `mark`. A delta
-    * holds the rows `matV.add` just accepted, so it needs no dedup of its
-    * own.
+  /** Push the rows `n` just gained, its view's rows from `lo` on, down the
+    * sub-trie, pruning branches whose join is empty: each child joins them
+    * with its edge view as it is after the update (the first term of
+    * Δc = (Δn ⋈ E) ∪ (nᵒˡᵈ ⋈ ΔE)), probing the view's hash index from `jc`.
+    * The first time in an update that `n` gains rows, it records the
+    * update as `stamp` and its earlier size `lo` as `mark`; path-end nodes
+    * are then collected for the final joins. Distinct delta rows of `n`,
+    * each extended by distinct edge rows, give distinct rows that `c` did
+    * not hold, so they are appended.
     */
   private def propagate(n: Node, lo: Int, reached: mutable.ArrayBuffer[Node]): Unit = {
-    if (n.ends.length > 0 && n.stamp != updates) {
+    if (n.stamp != updates) {
       n.stamp = updates
       n.mark = lo
-      reached += n
+      if (n.ends.length > 0) reached += n
     }
     val rows = n.matV.rows
     val hi   = rows.size
@@ -287,7 +292,7 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
         val row = rows(i)
         var h   = eIdx.first(row(n.depth + 1))
         while (h >= 0) {
-          c.matV.add(Rel.extend(row, eIdx.rel.rows(h)(1)))
+          c.matV.append(Rel.extend(row, eIdx.rel.rows(h)(1)))
           h = eIdx.next(h)
         }
         i += 1

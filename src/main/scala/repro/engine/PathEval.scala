@@ -44,6 +44,8 @@ object PathEval {
   /** Fully recompute the matches of a covering path from the generic per-edge
     * views (Algorithm INV's per-update path materialization). Returns a
     * relation of arity path.size+1 with repeated-variable equality enforced.
+    * A row fixes the edge row it took at each position, so distinct choices
+    * give distinct rows: they are appended, with no dedup table.
     */
   def evalPathFull(path: Path, matOf: GEdge => Option[Rel], jc: JoinCache): Rel = {
     val terms = pathTerms(path)
@@ -68,7 +70,7 @@ object PathEval {
       cur = next
       i += 1
     }
-    if (i == path.size) cur.foreach(out.add)
+    if (i == path.size) cur.foreach(out.append)
     out
   }
 

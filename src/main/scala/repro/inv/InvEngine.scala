@@ -53,7 +53,19 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
     */
   val edgeMat = mutable.HashMap.empty[GEdge, Rel]
 
+  /** Queries that passed the gate: every view of theirs has a row. Views
+    * only grow, so a query passes once and for all.
+    */
+  private val passed = mutable.HashSet.empty[Int]
+
+  /** Whether `onUpdate` was called: the graph is no longer empty. */
+  private var started = false
+
+  /** Index `q`. Every query must be indexed before the first update: a
+    * view created later would miss the edges before it.
+    */
   def indexQuery(q: QueryPattern): Unit = {
+    require(!started, s"query ${q.id} indexed after the first update; index every query before the stream starts")
     val paths = CoveringPaths.cover(q)
     val gs    = paths.flatMap(Generic.ofPath).distinct
     gs.foreach { g =>
@@ -64,6 +76,7 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
   }
 
   def onUpdate(e: Edge): collection.Set[Int] = {
+    started = true
     val views = Generic.generalizations(e).flatMap(g => edgeMat.get(g).map(g -> _))
     val edge  = Array(e.src, e.dst)
     var fresh = false
@@ -75,7 +88,7 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
     val affected = views.flatMap { case (g, _) => edgeInd(g) }.distinct
     for (qid <- affected) {
       val (_, join, gs) = queryInd(qid)
-      if (gs.forall(g => edgeMat(g).nonEmpty)) {
+      if (passed(qid) || gs.forall(g => edgeMat(g).nonEmpty) && passed.add(qid)) {
         // Steps 2–3: materialize each covering path, then join the paths
         // of each group
         val paths = join.paths

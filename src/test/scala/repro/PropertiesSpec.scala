@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Harness
 import repro.core.TricEngine
+import repro.engine.{JoinCache, PathEval}
 import repro.graph.Edge
 import repro.inv.InvEngine
 import repro.query._
@@ -97,6 +98,38 @@ class PropertiesSpec extends AnyFunSuite {
       groups.exists(_ > 1) && outs.forall(_ == outs.head) &&
         qs.forall(q => engines.forall(_.bindings(q.id) == BruteForce.bindings(es, q)))
     }, min = 40)
+  }
+
+  /** Every row of the generic path `gs` over the distinct edges `es`: the
+    * vertices of a walk whose i-th edge matches `gs(i)`.
+    */
+  private def pathRows(gs: Seq[GEdge], es: Seq[Edge]): Set[Vector[String]] =
+    gs.tail.foldLeft(es.filter(gs.head.matches).map(e => Vector(e.src, e.dst)).toSet) { (rows, g) =>
+      for (r <- rows; e <- es if g.matches(e) && e.src == r.last) yield r :+ e.dst
+    }
+
+  for (caching <- Seq(false, true)) {
+    test(s"property: ${if (caching) "TRIC+" else "TRIC"} trie views hold each row of their generic prefix once") {
+      check("trie-views", Prop.forAll(genQuerySet, genDupStream) { (qs, es) =>
+        val t = new TricEngine(caching)
+        t.indexAll(qs)
+        es.foreach(t.onUpdate)
+        val distinct = es.distinct
+        def prefix(n: t.Node): List[GEdge] = if (n == null) Nil else prefix(n.parent) :+ n.key
+        def nodes(n: t.Node): Iterator[t.Node] = Iterator.single(n) ++ n.children.iterator.flatMap(nodes)
+        val views = t.rootInd.valuesIterator.flatMap(nodes).forall { n =>
+          val rows = n.matV.rows.map(_.toVector)
+          rows.distinct.size == rows.size && rows.toSet == pathRows(prefix(n), distinct)
+        }
+        val full = qs.flatMap(CoveringPaths.cover).forall { p =>
+          val rows = PathEval.evalPathFull(p, t.edgeMat.get, new JoinCache(false)).rows.map(_.toVector)
+          val eq   = PathEval.eqClass(PathEval.pathTerms(p))
+          rows.distinct.size == rows.size &&
+            rows.toSet == pathRows(Generic.ofPath(p), distinct).filter(r => PathEval.consistent(r.toArray, eq))
+        }
+        views && full
+      }, min = 40)
+    }
   }
 
   test("property: covering paths cover every edge and vertex of any pattern") {

@@ -195,6 +195,28 @@ class TricEngineSpec extends AnyFunSuite {
     assert(t.bindings(1) == Set(Map("x" -> "1", "y" -> "2", "z" -> "3", "w" -> "4")))
   }
 
+  test("indexing a query after the first update fails, naming the query") {
+    for (t <- Seq(new TricEngine(false), new TricEngine(true))) {
+      t.indexQuery(QueryPattern(1, Vector(pe(v("x"), "a", v("y")))))
+      t.onUpdate(Edge("1", "b", "2")) // no view holds it, but the graph has it
+      val err = intercept[IllegalArgumentException](t.indexQuery(QueryPattern(42, Vector(pe(v("x"), "b", v("y"))))))
+      assert(err.getMessage.contains("query 42"), err.getMessage)
+      assert(!t.queryInd.contains(42) && t.rootInd.keySet == Set(GEdge(None, "a", None)))
+    }
+  }
+
+  test("a view row derived by both semi-naive terms is stored once") {
+    // ?x a ?y a ?z: the self-loop 1 a 1 extends the root's old row 0 a 1
+    // (parent step) and, as the root's delta, itself (propagation)
+    val t = new TricEngine(true)
+    t.indexQuery(QueryPattern(1, Vector(pe(v("x"), "a", v("y")), pe(v("y"), "a", v("z")))))
+    t.onUpdate(Edge("0", "a", "1"))
+    assert(t.onUpdate(Edge("1", "a", "1")) == Set(1))
+    val child = t.rootInd(GEdge(None, "a", None)).children.head
+    assert(child.matV.rows.map(_.toVector) == Seq(Vector("1", "1", "1"), Vector("0", "1", "1")))
+    assert(t.bindings(1) == Set(Map("x" -> "0", "y" -> "1", "z" -> "1"), Map("x" -> "1", "y" -> "1", "z" -> "1")))
+  }
+
   test("pruned sub-tries do not produce affected queries") {
     val t = new TricEngine(false)
     t.indexQuery(QueryPattern(1, Vector(pe(v("x"), "a", v("y")), pe(v("y"), "b", v("z")))))

@@ -21,6 +21,40 @@ class RelSpec extends AnyFunSuite {
     assert(r.size == 2)
   }
 
+  test("an appended Rel allocates no table and keeps insertion order") {
+    val r    = new Rel(2)
+    val rows = (0 until 1000).map(i => Array(s"v${i % 7}", s"w$i"))
+    rows.foreach(r.append)
+    assert(!r.hasTable)
+    assert(r.size == 1000 && r.rows.indices.forall(i => r.rows(i) eq rows(i)))
+    intercept[IllegalArgumentException](r.append(Array("a")))
+  }
+
+  test("a HashIdx over an appended Rel probes and refreshes as before") {
+    val r = new Rel(2)
+    Seq(Array("a", "1"), Array("a", "2"), Array("b", "3")).foreach(r.append)
+    val idx = new HashIdx(r, IdxSpec.column(0)).refresh()
+    assert(probe(idx, "a").map(_(1)) == Seq("2", "1"))
+    assert(probe(idx, "b").map(_(1)) == Seq("3"))
+    r.append(Array("a", "4"))
+    assert(probe(idx, "a").size == 2) // stale until refreshed
+    idx.refresh()
+    assert(probe(idx, "a").map(_(1)) == Seq("4", "2", "1"))
+    assert(!r.hasTable)
+  }
+
+  test("a Rel is built by add or by append, never both") {
+    val added = new Rel(2)
+    added.add(Array("a", "b"))
+    assert(added.hasTable)
+    intercept[IllegalArgumentException](added.append(Array("a", "c")))
+    val appended = new Rel(2)
+    appended.append(Array("a", "b"))
+    intercept[IllegalArgumentException](appended.add(Array("a", "c")))
+    intercept[IllegalArgumentException](appended.contains(Array("a", "b")))
+    assert(added.size == 1 && appended.size == 1)
+  }
+
   test("Rel rejects rows of wrong arity") {
     val r = new Rel(2)
     intercept[IllegalArgumentException](r.add(Array("a")))

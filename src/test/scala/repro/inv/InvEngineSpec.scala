@@ -29,6 +29,16 @@ class InvEngineSpec extends AnyFunSuite {
   }
 
   for (eng <- engines) {
+    test(s"${eng.name}: indexing a query after the first update fails, naming the query") {
+      eng.indexQuery(QueryPattern(1, Vector(pe(v("x"), "a", v("y")))))
+      eng.onUpdate(Edge("1", "b", "2"))
+      val err = intercept[IllegalArgumentException](eng.indexQuery(QueryPattern(42, Vector(pe(v("x"), "b", v("y"))))))
+      assert(err.getMessage.contains("query 42"), err.getMessage)
+      assert(!eng.queryInd.contains(42))
+    }
+  }
+
+  for (eng <- engines) {
     test(s"${eng.name}: single-edge query matches on first update") {
       eng.indexQuery(QueryPattern(7, Vector(pe(v("x"), "knows", v("y")))))
       assert(eng.onUpdate(Edge("a", "knows", "b")) == Set(7))
