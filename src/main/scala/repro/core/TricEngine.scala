@@ -41,12 +41,12 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   def name: String = if (jc.enabled) "TRIC+" else "TRIC"
 
   /** One trie node: a generic edge at a given depth. Its materialized view
-    * has one column per path position 0..depth+1. Query ids are registered at
-    * the node ending one of their covering paths; `ends` holds the same
-    * registrations as the answering step reads them, (query slot, path
-    * index) pairs packed as `slot << 32 | index`. A node holds integers where
-    * it could hold references (its edge view is `keyViews(id)`, a query is
-    * `entries(slot)`), so nothing outside the trie is reachable from it.
+    * has one column per path position 0..depth+1. Queries are registered at
+    * the node ending one of their covering paths: `ends` holds (query slot,
+    * path index) pairs packed as `slot << 32 | index`. A node holds
+    * integers where it could hold references (its edge view is
+    * `keyViews(id)`, a query is `entries(slot)`), so nothing outside the
+    * trie is reachable from it.
     * `stamp` is the last update that gave the node a delta, and `mark` the
     * size of its view before that update: the update's delta is
     * `matV.rows` from `mark` on, and its rows before it are those below
@@ -56,7 +56,6 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   final class Node(val key: GEdge, val depth: Int, val parent: Node, private[TricEngine] val id: Int) {
     val children = new mutable.ArrayBuffer[Node]
     val matV     = new Rel(depth + 2)
-    val queries  = new mutable.ArrayBuffer[Int]
     private[TricEngine] var ends  = Array.emptyLongArray
     private[TricEngine] var stamp = 0
     private[TricEngine] var mark  = 0
@@ -75,6 +74,12 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
     * edges matching each generic edge seen in any indexed path.
     */
   val edgeMat = mutable.HashMap.empty[GEdge, Rel]
+
+  /** The stream edges some view accepted, each once: a repeated edge is
+    * dropped here, before any view sees it, so the edge views hold
+    * distinct rows and every edge they are given is new.
+    */
+  private[repro] val edgeSet = mutable.HashSet.empty[Edge]
 
   /** queryInd: query id → (original pattern, its final join over the
     * covering paths, last trie node of each path) — everything needed for
@@ -128,7 +133,6 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
           n
         }
       }
-      node.queries += q.id
       node.ends = java.util.Arrays.copyOf(node.ends, node.ends.length + 1)
       node.ends(node.ends.length - 1) = slot.toLong << 32 | t
       node
@@ -148,15 +152,18 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   def onUpdate(e: Edge): collection.Set[Int] = {
     started = true
     // 1. extend the shared per-edge views with the update; ΔE = {e} for
-    //    exactly the nodes of the views that accepted it
-    val edge  = Array(e.src, e.dst)
+    //    the nodes of every view it matches
+    val views = new mutable.ArrayBuffer[Rel](4)
     val lists = new mutable.ArrayBuffer[mutable.ArrayBuffer[Node]](4)
     for (g <- Generic.generalizations(e)) edgeMat.get(g).foreach { v =>
-      if (v.add(edge)) lists += edgeInd(g)
+      views += v
+      lists += edgeInd(g)
     }
     val matchedNow = mutable.LinkedHashSet.empty[Int]
-    if (lists.isEmpty) return matchedNow // no view, or a duplicate edge: no-op
+    if (views.isEmpty || !edgeSet.add(e)) return matchedNow // no view, or a repeated edge: no-op
     updates += 1
+    val edge = Array(e.src, e.dst)
+    views.foreach(_.append(edge))
 
     // 2. extend the trie views by Δn = (Δparent ⋈ E) ∪ (parentᵒˡᵈ ⋈ ΔE):
     //    `joinUpdate` adds the second term at every node whose edge view
@@ -303,7 +310,8 @@ final class TricEngine(caching: Boolean) extends ContinuousEngine {
   }
 
   /** Structures whose size constitutes the engine's memory footprint: the
-    * trie, its views and whatever the join cache holds for reuse.
+    * trie, its views, the edges they accepted and whatever the join cache
+    * holds for reuse.
     */
-  def memoryRoots: Seq[AnyRef] = Seq(rootInd, edgeInd, edgeMat, queryInd, jc)
+  def memoryRoots: Seq[AnyRef] = Seq(rootInd, edgeInd, edgeMat, edgeSet, queryInd, jc)
 }

@@ -97,10 +97,10 @@ trait ContinuousEngine {
     * update and distinct, one value per variable of `vars(g)` in that
     * order; true iff there was one. Stores the query's answers, its groups
     * over `vars`, on first use. The delta engines' final joins seed with
-    * rows their views accepted in this update, so each row they give is
-    * new; only two seed paths of one group can give the same answer. TRIC
-    * limits each seed's reads of the paths seeded before it so that none
-    * does; INC removes the repeats itself.
+    * rows their paths gained in this update, so each row they give is new;
+    * two seed paths of one group could give the same answer, but TRIC and
+    * INC limit each seed's reads of the paths seeded before it to their
+    * rows from before the update (`FinalJoin.from`), so none does.
     */
   protected final def recordNew(qid: Int, vars: Vector[Vector[String]], g: Int,
                                 rows: IterableOnce[Array[String]]): Boolean = {

@@ -45,25 +45,30 @@ object PathEval {
     * views (Algorithm INV's per-update path materialization). Returns a
     * relation of arity path.size+1 with repeated-variable equality enforced.
     * A row fixes the edge row it took at each position, so distinct choices
-    * give distinct rows: they are appended, with no dedup table.
+    * give distinct rows: they are appended, with no dedup table. With
+    * `without` set, no position takes that edge: the path's rows from
+    * before the update `without`, read off views that already hold it.
     */
-  def evalPathFull(path: Path, matOf: GEdge => Option[Rel], jc: JoinCache): Rel = {
+  def evalPathFull(path: Path, matOf: GEdge => Option[Rel], jc: JoinCache, without: Edge = null): Rel = {
     val terms = pathTerms(path)
     val eq    = eqClass(terms)
     val out   = new Rel(path.size + 1)
-    val m0    = matOf(Generic.of(path.head)).getOrElse(return out)
+    val gs    = path.map(Generic.of)
+    def skips(i: Int, s: String, t: String): Boolean =
+      without != null && t == without.dst && s == without.src && gs(i).matches(without)
+    val m0    = matOf(gs.head).getOrElse(return out)
     var cur: mutable.ArrayBuffer[Array[String]] =
-      m0.rows.collect { case r if eq(1) == 1 || r(0) == r(1) => Array(r(0), r(1)) }
+      m0.rows.collect { case r if (eq(1) == 1 || r(0) == r(1)) && !skips(0, r(0), r(1)) => Array(r(0), r(1)) }
     var i = 1
     while (i < path.size && cur.nonEmpty) {
-      val mi  = matOf(Generic.of(path(i))).getOrElse(return out)
+      val mi  = matOf(gs(i)).getOrElse(return out)
       val idx = jc.index(mi, 0)
       val next = new mutable.ArrayBuffer[Array[String]]
       for (row <- cur) {
         var h = idx.first(row(i))
         while (h >= 0) {
           val t = mi.rows(h)(1)
-          if (eq(i + 1) == i + 1 || row(eq(i + 1)) == t) next += Rel.extend(row, t)
+          if ((eq(i + 1) == i + 1 || row(eq(i + 1)) == t) && !skips(i, row(i), t)) next += Rel.extend(row, t)
           h = idx.next(h)
         }
       }
@@ -77,7 +82,11 @@ object PathEval {
   /** Incrementally compute the NEW matches of a covering path contributed by
     * update `e` (Algorithm INC / TRIC delta joins): seed every path position
     * whose generic edge matches `e` with the single update tuple and extend
-    * left and right through the (already updated) generic edge views.
+    * left and right through the (already updated) generic edge views. A row
+    * is credited to the leftmost position that takes `e`: seed p's left
+    * extension never takes `e`, so no two seeds give one row, and the rows
+    * are appended as they are. `e` must be new to the views: the rows that
+    * take it are then exactly the path's rows the update added.
     */
   def evalPathDelta(path: Path, matOf: GEdge => Option[Rel], jc: JoinCache, e: Edge): Rel = {
     val terms = pathTerms(path)
@@ -104,15 +113,20 @@ object PathEval {
       while (j >= 0 && frontier.nonEmpty) {
         val mj  = matOf(gs(j)).getOrElse(new Rel(2))
         val idx = jc.index(mj, 1) // probe by destination: extending to the left
+        val own = gs(j).matches(e) // then position j's own seed takes e
         val next = new mutable.ArrayBuffer[Array[String]]
         for (row <- frontier) {
           var h = idx.first(row.head)
-          while (h >= 0) { next += (mj.rows(h)(0) +: row); h = idx.next(h) }
+          while (h >= 0) {
+            val s = mj.rows(h)(0)
+            if (!(own && s == e.src && row.head == e.dst)) next += (s +: row)
+            h = idx.next(h)
+          }
         }
         frontier = next
         j -= 1
       }
-      frontier.foreach(r => if (consistent(r, eq)) out.add(r))
+      frontier.foreach(r => if (consistent(r, eq)) out.append(r))
     }
     out
   }
@@ -245,7 +259,11 @@ object PathEval {
       * The limits make the seeds of one update disjoint (semi-naive
       * evaluation): when the paths seeded before seed k are limited to
       * their rows from before the update, seed k gives exactly the new
-      * answers whose first new row, in seed order, is on its path.
+      * answers whose first new row, in seed order, is on its path. So a
+      * path's relation holds its rows from before the update first and its
+      * new rows after them: TRIC's trie views do, and INC builds each such
+      * relation that way (`evalPathFull` without the update, then the
+      * path's `evalPathDelta`).
       */
     def from(t: Int, seed: Iterable[Array[String]], rel: Int => Rel, jc: JoinCache,
              limit: Int => Int = FinalJoin.noLimit): Iterator[Array[String]] = {

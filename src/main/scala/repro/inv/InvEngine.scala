@@ -53,10 +53,60 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
     */
   val edgeMat = mutable.HashMap.empty[GEdge, Rel]
 
-  /** Queries that passed the gate: every view of theirs has a row. Views
-    * only grow, so a query passes once and for all.
+  /** The stream edges some view accepted, each once: a repeated edge is
+    * dropped here, before any view sees it, so the views hold distinct rows
+    * and every edge they are given is new.
     */
-  private val passed = mutable.HashSet.empty[Int]
+  private[repro] val edgeSet = mutable.HashSet.empty[Edge]
+
+  /** Per query, its final join and generic edges, as `queryInd` holds them;
+    * `passed` once every view of the query has a row (views only grow, so
+    * for good). The rest is what answering the query computes of each
+    * covering path `t` in update `e`, allocated here once and released
+    * when the query is answered: `deltas(t)`, the path's rows that take
+    * `e`; `rels(t)`, its rows — for INC, `marks(t)` rows without `e`, then
+    * the delta, so `limit` can read its rows from before `e` alone — and
+    * `seeded(t)`, whether INC seeded the final join with the delta.
+    */
+  private final class Entry(val join: FinalJoin, val gs: Vector[GEdge]) {
+    var passed = false
+    var e: Edge = null
+    private val gens   = join.paths.map(Generic.ofPath)
+    private val deltas = new Array[Rel](gens.size)
+    private val rels   = new Array[Rel](gens.size)
+    private val marks  = new Array[Int](gens.size)
+    val seeded         = new Array[Boolean](gens.size)
+
+    /** Whether a generic edge of path `t` matches `e`. */
+    def touched(t: Int): Boolean = gens(t).exists(_.matches(e))
+
+    def delta(t: Int): Rel = {
+      if (deltas(t) == null) deltas(t) = PathEval.evalPathDelta(join.paths(t), edgeMat.get, jc, e)
+      deltas(t)
+    }
+
+    val rel: Int => Rel = t => {
+      if (rels(t) == null) rels(t) =
+        if (!incremental) PathEval.evalPathFull(join.paths(t), edgeMat.get, jc)
+        else {
+          val r = PathEval.evalPathFull(join.paths(t), edgeMat.get, jc, without = e)
+          marks(t) = r.size
+          if (touched(t)) delta(t).rows.foreach(r.append)
+          r
+        }
+      rels(t)
+    }
+
+    val limit: Int => Int = t => if (seeded(t)) { rel(t); marks(t) } else Int.MaxValue
+
+    def release(): Unit = {
+      java.util.Arrays.fill(deltas.asInstanceOf[Array[AnyRef]], null)
+      java.util.Arrays.fill(rels.asInstanceOf[Array[AnyRef]], null)
+      java.util.Arrays.fill(seeded, false)
+      e = null
+    }
+  }
+  private val entries = mutable.LongMap.empty[Entry]
 
   /** Whether `onUpdate` was called: the graph is no longer empty. */
   private var started = false
@@ -72,67 +122,57 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
       edgeInd.getOrElseUpdate(g, mutable.LinkedHashSet.empty) += q.id
       edgeMat.getOrElseUpdate(g, new Rel(2))
     }
-    queryInd(q.id) = (q, new FinalJoin(paths), gs)
+    val join = new FinalJoin(paths)
+    queryInd(q.id) = (q, join, gs)
+    entries(q.id) = new Entry(join, gs)
   }
 
   def onUpdate(e: Edge): collection.Set[Int] = {
     started = true
     val views = Generic.generalizations(e).flatMap(g => edgeMat.get(g).map(g -> _))
-    val edge  = Array(e.src, e.dst)
-    var fresh = false
-    for ((_, v) <- views) fresh |= v.add(edge)
     val matchedNow = mutable.LinkedHashSet.empty[Int]
-    if (!fresh) return matchedNow
+    if (views.isEmpty || !edgeSet.add(e)) return matchedNow // no view, or a repeated edge: no-op
+    val edge = Array(e.src, e.dst)
+    for ((_, v) <- views) v.append(edge)
 
     // Step 1: locate affected queries, keep those whose views are all non-empty
     val affected = views.flatMap { case (g, _) => edgeInd(g) }.distinct
     for (qid <- affected) {
-      val (_, join, gs) = queryInd(qid)
-      if (passed(qid) || gs.forall(g => edgeMat(g).nonEmpty) && passed.add(qid)) {
-        // Steps 2–3: materialize each covering path, then join the paths
-        // of each group
-        val paths = join.paths
-        val fullCache = mutable.HashMap.empty[Int, Rel]
-        def full(i: Int): Rel =
-          fullCache.getOrElseUpdate(i, PathEval.evalPathFull(paths(i), edgeMat.get, jc))
-        // every answer of group g, from its first path's full relation
+      val en = entries(qid)
+      if (en.passed || en.gs.forall(g => edgeMat(g).nonEmpty) && { en.passed = true; true }) {
+        // Steps 2–3: materialize the covering paths, then join the paths of
+        // each group; every answer of group g comes from its first path
+        val join = en.join
+        en.e = e
         def whole(g: Int): Iterator[Array[String]] = {
           val t = join.groups(g).head
-          join.from(t, full(t).rows, full, rebuild)
+          join.from(t, en.rel(t).rows, en.rel, rebuild)
         }
-
         val gained =
           if (!incremental) {
-            paths.indices.foreach(full)
+            join.paths.indices.foreach(en.rel)
             recordAll(qid, join.groupVars, join.groups.indices.map(whole))
-          } else {
-            // INC: a new answer must use the update tuple on some touched
-            // path, so the touched path is seeded with just the update tuple
-            // — but, per the paper (INC is only ~54% faster than INV), the
-            // OTHER covering paths are still materialized in full from the
-            // per-edge views on every affected update; only the number of
-            // tuples examined on the touched path shrinks. The update edge
-            // is fresh, so every answer using it is new; two touched paths
-            // of one group can both give one, which is removed here. The
-            // first update past the gate computes every group in full
-            // instead, since a group could have answers while another's
-            // view was empty.
-            val touched = paths.indices.filter(i => paths(i).exists(pe => Generic.of(pe).matches(e)))
-            paths.indices.filterNot(touched.contains).foreach(full)
-            def seeded(t: Int) = {
-              val seed = PathEval.evalPathDelta(paths(t), edgeMat.get, jc, e)
-              join.from(t, seed.rows, i => if (i == t) seed else full(i), rebuild)
+          } else if (!active(qid))
+            // the first update past the gate computes every group in full:
+            // a group could have answers while another's view was empty
+            matched(qid, join.groups.indices.map(g => recordNew(qid, join.groupVars, g, whole(g))).exists(identity))
+          else {
+            // INC: a new answer takes the update on a touched path, so
+            // each touched path is seeded with its delta alone — but, per
+            // the paper (INC is only ~54% faster than INV), the OTHER
+            // covering paths are still materialized in full. The update is
+            // new, so every answer that takes it is new; each seed reads
+            // the paths seeded before it without the update (semi-naive,
+            // as in `FinalJoin.from`), so no two seeds give one answer.
+            for (t <- join.paths.indices if !en.touched(t)) en.rel(t)
+            var any = false
+            for (t <- join.paths.indices if en.touched(t) && en.delta(t).nonEmpty) {
+              any |= recordNew(qid, join.groupVars, join.groupOf(t), join.from(t, en.delta(t).rows, en.rel, rebuild, en.limit))
+              en.seeded(t) = true
             }
-            val gains =
-              if (!active(qid)) join.groups.indices.map(g => recordNew(qid, join.groupVars, g, whole(g)))
-              else touched.groupBy(join.groupOf(_)).map { case (g, ts) =>
-                val rows =
-                  if (ts.size == 1) seeded(ts.head)
-                  else Rel.of(ts.flatMap(seeded), join.groupVars(g).size).rows
-                recordNew(qid, join.groupVars, g, rows)
-              }
-            matched(qid, gains.exists(identity))
+            matched(qid, any)
           }
+        en.release()
         if (gained) matchedNow += qid
       }
     }
@@ -140,5 +180,5 @@ final class InvEngine(incremental: Boolean, caching: Boolean) extends Continuous
   }
 
   /** Structures whose size constitutes the engine's memory footprint. */
-  def memoryRoots: Seq[AnyRef] = Seq(edgeInd, queryInd, edgeMat, jc)
+  def memoryRoots: Seq[AnyRef] = Seq(edgeInd, queryInd, edgeMat, edgeSet, jc)
 }

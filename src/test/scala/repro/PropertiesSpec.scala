@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Harness
 import repro.core.TricEngine
-import repro.engine.{JoinCache, PathEval}
+import repro.engine.{ContinuousEngine, JoinCache, PathEval}
 import repro.graph.Edge
 import repro.inv.InvEngine
 import repro.query._
@@ -71,11 +71,22 @@ class PropertiesSpec extends AnyFunSuite {
   } yield ((0 until leaves).map(i => PatternEdge(Vr(s"w$i"), labels(i), hub)).toVector ++
     Vector(PatternEdge(Vr("w0"), labels(leaves), other)) ++ consts).distinct
 
+  /** Two or three edges of one label out of one variable: covering paths
+    * of one group that a single update can all take, so that the seeds of
+    * one update can give the same answer.
+    */
+  private val genStar: Gen[Vector[PatternEdge]] = for {
+    l    <- Gen.choose(0, 1).map(i => s"l$i")
+    k    <- Gen.choose(2, 3)
+    dsts <- Gen.listOfN(k, genSmallTerm)
+  } yield dsts.toVector.map(PatternEdge(Vr("s"), l, _)).distinct
+
   private val genQuerySet: Gen[Vector[QueryPattern]] = for {
     k     <- Gen.choose(2, 4)
     ps    <- Gen.listOfN(k, genSmallPattern)
     multi <- genMultiGroup
-  } yield (ps.toVector :+ ps.head.take((ps.head.size + 1) / 2) :+ multi).zipWithIndex.map {
+    star  <- genStar
+  } yield (ps.toVector :+ ps.head.take((ps.head.size + 1) / 2) :+ multi :+ star).zipWithIndex.map {
     case (es, i) => QueryPattern(i, es)
   }
 
@@ -96,7 +107,31 @@ class PropertiesSpec extends AnyFunSuite {
       engines.foreach(_.indexAll(qs))
       val outs = engines.map(e => es.map(e.onUpdate(_).toSet))
       groups.exists(_ > 1) && outs.forall(_ == outs.head) &&
-        qs.forall(q => engines.forall(_.bindings(q.id) == BruteForce.bindings(es, q)))
+        qs.forall(q => engines.forall(_.bindings(q.id) == BruteForce.bindings(es, q))) &&
+        engines.forall(e => qs.forall(q => e.storedRows(q.id) == e.bindings(q.id).size))
+    }, min = 40)
+  }
+
+  /** Every trie node of `t`, depth first from each root. */
+  private def trieNodes(t: TricEngine): Iterator[t.Node] = {
+    def below(n: t.Node): Iterator[t.Node] = Iterator.single(n) ++ n.children.iterator.flatMap(below)
+    t.rootInd.valuesIterator.flatMap(below)
+  }
+
+  test("property: replaying a stream a second time reports nothing and changes no view") {
+    check("replay-twice", Prop.forAll(genQuerySet, genDupStream) { (qs, es) =>
+      val engines: Seq[ContinuousEngine] = Seq(new TricEngine(false), new TricEngine(true),
+        new InvEngine(false, false), new InvEngine(false, true), new InvEngine(true, false), new InvEngine(true, true))
+      def views(e: ContinuousEngine): (Map[GEdge, Int], Vector[Int]) = e match {
+        case t: TricEngine => (t.edgeMat.view.mapValues(_.size).toMap, trieNodes(t).map(_.matV.size).toVector)
+        case i: InvEngine  => (i.edgeMat.view.mapValues(_.size).toMap, Vector.empty)
+      }
+      engines.forall { e =>
+        e.indexAll(qs)
+        e.replay(es)
+        val before = (views(e), qs.map(q => e.bindings(q.id)))
+        es.forall(e.onUpdate(_).isEmpty) && (views(e), qs.map(q => e.bindings(q.id))) == before
+      }
     }, min = 40)
   }
 
@@ -111,23 +146,38 @@ class PropertiesSpec extends AnyFunSuite {
   for (caching <- Seq(false, true)) {
     test(s"property: ${if (caching) "TRIC+" else "TRIC"} trie views hold each row of their generic prefix once") {
       check("trie-views", Prop.forAll(genQuerySet, genDupStream) { (qs, es) =>
-        val t = new TricEngine(caching)
+        val t     = new TricEngine(caching)
+        val paths = qs.flatMap(CoveringPaths.cover)
         t.indexAll(qs)
-        es.foreach(t.onUpdate)
+        // after each update e, a path's delta holds each of its rows that
+        // take e at a position whose generic edge matches e, once
+        val deltas = es.indices.forall { k =>
+          val e = es(k)
+          t.onUpdate(e)
+          val seen = es.take(k + 1).distinct
+          paths.forall { p =>
+            val gs   = Generic.ofPath(p)
+            val eq   = PathEval.eqClass(PathEval.pathTerms(p))
+            val rows = PathEval.evalPathDelta(p, t.edgeMat.get, new JoinCache(false), e).rows.map(_.toVector)
+            rows.distinct.size == rows.size && rows.toSet == pathRows(gs, seen).filter { r =>
+              PathEval.consistent(r.toArray, eq) &&
+                gs.indices.exists(i => gs(i).matches(e) && r(i) == e.src && r(i + 1) == e.dst)
+            }
+          }
+        }
         val distinct = es.distinct
         def prefix(n: t.Node): List[GEdge] = if (n == null) Nil else prefix(n.parent) :+ n.key
-        def nodes(n: t.Node): Iterator[t.Node] = Iterator.single(n) ++ n.children.iterator.flatMap(nodes)
-        val views = t.rootInd.valuesIterator.flatMap(nodes).forall { n =>
+        val views = trieNodes(t).forall { n =>
           val rows = n.matV.rows.map(_.toVector)
           rows.distinct.size == rows.size && rows.toSet == pathRows(prefix(n), distinct)
         }
-        val full = qs.flatMap(CoveringPaths.cover).forall { p =>
+        val full = paths.forall { p =>
           val rows = PathEval.evalPathFull(p, t.edgeMat.get, new JoinCache(false)).rows.map(_.toVector)
           val eq   = PathEval.eqClass(PathEval.pathTerms(p))
           rows.distinct.size == rows.size &&
             rows.toSet == pathRows(Generic.ofPath(p), distinct).filter(r => PathEval.consistent(r.toArray, eq))
         }
-        views && full
+        deltas && views && full
       }, min = 40)
     }
   }

@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestWorkloads
 import repro.core.TricEngine
 import repro.graph.Edge
+import repro.inv.InvEngine
 import repro.query.{PatternEdge, QueryPattern, Vr}
 
 /** Unit tests for the measurement harness itself. */
@@ -49,6 +50,16 @@ class HarnessSpec extends AnyFunSuite {
       e.indexAll(queries)
       e.replay(stream)
       assert(Harness.memoryOf(e) <= SizeEstimator.estimate(e), e.name)
+    }
+  }
+
+  test("memory counts the edge set that drops a repeated edge") {
+    // Table 1 and the benchmark's mem_mb sum the memory roots
+    for (e <- Seq(new TricEngine(false), new TricEngine(true)))
+      assert(e.memoryRoots.exists(_ eq e.edgeSet), e.name)
+    for (inc <- Seq(false, true); caching <- Seq(false, true)) {
+      val e = new InvEngine(inc, caching)
+      assert(e.memoryRoots.exists(_ eq e.edgeSet), e.name)
     }
   }
 

@@ -21,7 +21,7 @@ class PathEvalSpec extends AnyFunSuite {
   private def mats(edges: Seq[Edge], paths: Seq[Vector[PatternEdge]]): GEdge => Option[Rel] = {
     val m = mutable.HashMap.empty[GEdge, Rel]
     for (p <- paths; peg <- p.map(Generic.of)) m.getOrElseUpdate(peg, new Rel(2))
-    for (e <- edges; (g, r) <- m if g.matches(e)) r.add(Array(e.src, e.dst))
+    for (e <- edges.distinct; (g, r) <- m if g.matches(e)) r.append(Array(e.src, e.dst))
     m.get
   }
 
@@ -164,9 +164,10 @@ class PathEvalSpec extends AnyFunSuite {
     val old = Vector.fill(12)(Edge(s"n${rng.nextInt(4)}", "l", s"n${rng.nextInt(5)}"))
     val now = Vector.fill(6)(Edge(s"n${rng.nextInt(4)}", "l", s"n${rng.nextInt(5)}"))
     val view = new Rel(2)
-    old.foreach(e => view.add(Array(e.src, e.dst)))
+    val seen = mutable.HashSet.empty[Edge]
+    old.foreach(e => if (seen.add(e)) view.append(Array(e.src, e.dst)))
     val mark = view.size
-    now.foreach(e => view.add(Array(e.src, e.dst)))
+    now.foreach(e => if (seen.add(e)) view.append(Array(e.src, e.dst)))
     val delta = view.rows.view.slice(mark, view.size).toVector
     assert(delta.nonEmpty)
 

@@ -10,22 +10,20 @@ class RelSpec extends AnyFunSuite {
   private def chain(idx: HashIdx, first: Int): Seq[Array[String]] =
     Iterator.iterate(first)(idx.next).takeWhile(_ >= 0).map(idx.rel.rows(_)).toSeq
 
+  /** A relation of the distinct `rows`, in order. */
+  private def rel(arity: Int, rows: Array[String]*): Rel = {
+    val r = new Rel(arity)
+    rows.foreach(r.append)
+    r
+  }
+
   /** The rows of a one-column `idx` whose key is `v`. */
   private def probe(idx: HashIdx, v: String): Seq[Array[String]] = chain(idx, idx.first(v))
-
-  test("Rel deduplicates rows on insert") {
-    val r = new Rel(2)
-    assert(r.add(Array("a", "b")))
-    assert(!r.add(Array("a", "b")))
-    assert(r.add(Array("a", "c")))
-    assert(r.size == 2)
-  }
 
   test("an appended Rel allocates no table and keeps insertion order") {
     val r    = new Rel(2)
     val rows = (0 until 1000).map(i => Array(s"v${i % 7}", s"w$i"))
     rows.foreach(r.append)
-    assert(!r.hasTable)
     assert(r.size == 1000 && r.rows.indices.forall(i => r.rows(i) eq rows(i)))
     intercept[IllegalArgumentException](r.append(Array("a")))
   }
@@ -40,68 +38,28 @@ class RelSpec extends AnyFunSuite {
     assert(probe(idx, "a").size == 2) // stale until refreshed
     idx.refresh()
     assert(probe(idx, "a").map(_(1)) == Seq("4", "2", "1"))
-    assert(!r.hasTable)
-  }
-
-  test("a Rel is built by add or by append, never both") {
-    val added = new Rel(2)
-    added.add(Array("a", "b"))
-    assert(added.hasTable)
-    intercept[IllegalArgumentException](added.append(Array("a", "c")))
-    val appended = new Rel(2)
-    appended.append(Array("a", "b"))
-    intercept[IllegalArgumentException](appended.add(Array("a", "c")))
-    intercept[IllegalArgumentException](appended.contains(Array("a", "b")))
-    assert(added.size == 1 && appended.size == 1)
   }
 
   test("Rel rejects rows of wrong arity") {
     val r = new Rel(2)
-    intercept[IllegalArgumentException](r.add(Array("a")))
-  }
-
-  test("Rel.contains reflects inserted rows") {
-    val r = new Rel(3)
-    r.add(Array("a", "b", "c"))
-    assert(r.contains(Array("a", "b", "c")))
-    assert(!r.contains(Array("a", "b", "d")))
+    intercept[IllegalArgumentException](r.append(Array("a")))
   }
 
   test("Rel keeps 10 000 distinct rows through its growths, in insertion order") {
     val r    = new Rel(2)
     val rows = (0 until 10000).map(i => Array(s"v${i % 97}", s"w$i"))
-    assert(rows.forall(r.add))
-    assert(rows.forall(row => !r.add(row.clone)))
-    assert(rows.forall(row => r.contains(row.clone)))
-    assert(!r.contains(Array("v0", "w1")))
+    rows.foreach(r.append)
     assert(r.size == 10000 && r.rows.indices.forall(i => r.rows(i) eq rows(i)))
-  }
-
-  test("Rel keeps rows whose hashes are equal") {
-    assert("Aa".hashCode == "BB".hashCode)
-    val r = new Rel(1)
-    assert(r.add(Array("Aa")) && r.add(Array("BB")))
-    assert(!r.add(Array("Aa")) && !r.add(Array("BB")))
-    assert(r.contains(Array("BB")) && !r.contains(Array("Ab")))
-    assert(r.rows.map(_.toVector) == Seq(Vector("Aa"), Vector("BB")))
   }
 
   test("Rel's row hash keeps a grid of similar names apart") {
     val names  = (0 until 100).map(i => s"v$i")
-    val hashes = for (a <- names; b <- names) yield Rel.hash(Array(a, b))
+    val hashes = for (a <- names; b <- names) yield Rel.hash(Array(a, b), Array(0, 1))
     assert(hashes.distinct.size >= 9900)
   }
 
-  test("an arity-0 Rel holds exactly one row") {
-    val r = new Rel(0)
-    assert(!r.contains(Array.empty[String]))
-    assert(r.add(Array.empty[String]))
-    assert(!r.add(Array.empty[String]))
-    assert(r.size == 1 && r.contains(Array.empty[String]))
-  }
-
   test("HashIdx probes rows by column value") {
-    val r = Rel.of(Seq(Array("a", "1"), Array("a", "2"), Array("b", "3")), 2)
+    val r = rel(2, Array("a", "1"), Array("a", "2"), Array("b", "3"))
     val idx = new HashIdx(r, IdxSpec.column(0)).refresh()
     assert(probe(idx, "a").map(_(1)).toSet == Set("1", "2"))
     assert(probe(idx, "b").map(_(1)).toSet == Set("3"))
@@ -110,31 +68,31 @@ class RelSpec extends AnyFunSuite {
 
   test("HashIdx refresh picks up rows appended after construction") {
     val r = new Rel(2)
-    r.add(Array("a", "1"))
+    r.append(Array("a", "1"))
     val idx = new HashIdx(r, IdxSpec.column(0)).refresh()
     assert(probe(idx, "a").size == 1)
-    r.add(Array("a", "2"))
+    r.append(Array("a", "2"))
     assert(probe(idx, "a").size == 1) // stale until refreshed
     idx.refresh()
     assert(probe(idx, "a").size == 2)
   }
 
   test("HashIdx can index the second column") {
-    val r = Rel.of(Seq(Array("a", "x"), Array("b", "x")), 2)
+    val r = rel(2, Array("a", "x"), Array("b", "x"))
     val idx = new HashIdx(r, IdxSpec.column(1)).refresh()
     assert(probe(idx, "x").map(_(0)).toSet == Set("a", "b"))
   }
 
   test("a two-column HashIdx with an eq spec indexes only consistent rows") {
     // rows of a path ?x -> ?y -> ?x: position 2 repeats position 0
-    val r = Rel.of(Seq(Array("a", "b", "a"), Array("a", "b", "c"), Array("a", "d", "a")), 3)
+    val r = rel(3, Array("a", "b", "a"), Array("a", "b", "c"), Array("a", "d", "a"))
     val idx = new HashIdx(r, IdxSpec(Vector(0, 1), PathEval.eqClass(Vector(Vr("x"), Vr("y"), Vr("x"))))).refresh()
     val probe2 = (x: String, y: String) => chain(idx, idx.first(Array(x, y), Array(0, 1))).map(_.toVector)
     assert(probe2("a", "b") == Seq(Vector("a", "b", "a")))
     assert(probe2("a", "d") == Seq(Vector("a", "d", "a")))
     assert(probe2("b", "a").isEmpty)
-    r.add(Array("e", "f", "g"))
-    r.add(Array("e", "f", "e"))
+    r.append(Array("e", "f", "g"))
+    r.append(Array("e", "f", "e"))
     assert(probe2("e", "f").isEmpty) // stale until refreshed
     idx.refresh()
     assert(probe2("e", "f") == Seq(Vector("e", "f", "e")))
@@ -142,15 +100,15 @@ class RelSpec extends AnyFunSuite {
 
   test("HashIdx keeps keys with equal hashCode apart, in one column and in two") {
     assert("Aa".hashCode == "BB".hashCode)
-    val one = Rel.of(Seq(Array("Aa", "1"), Array("BB", "2"), Array("Aa", "3")), 2)
+    val one = rel(2, Array("Aa", "1"), Array("BB", "2"), Array("Aa", "3"))
     val idx = new HashIdx(one, IdxSpec.column(0)).refresh()
     assert(probe(idx, "Aa").map(_(1)) == Seq("3", "1"))
     assert(probe(idx, "BB").map(_(1)) == Seq("2"))
     assert(probe(idx, "Ab").isEmpty)
     // every pair of Aa and BB has one hash under the per-value mix
     val pairs = for (x <- Seq("Aa", "BB"); y <- Seq("Aa", "BB")) yield Array(x, y)
-    assert(pairs.map(p => Rel.hash(p)).distinct.size == 1)
-    val two  = Rel.of(pairs.zipWithIndex.map { case (p, i) => p :+ s"$i" }, 3)
+    assert(pairs.map(p => Rel.hash(p, Array(0, 1))).distinct.size == 1)
+    val two  = rel(3, pairs.zipWithIndex.map { case (p, i) => p :+ s"$i" }: _*)
     val idx2 = new HashIdx(two, IdxSpec(Vector(0, 1), null)).refresh()
     for ((p, i) <- pairs.zipWithIndex)
       assert(chain(idx2, idx2.first(p, Array(0, 1))).map(_(2)) == Seq(s"$i"), p.toVector)
@@ -162,7 +120,7 @@ class RelSpec extends AnyFunSuite {
     val idx = new HashIdx(r, IdxSpec.column(0)).refresh() // built empty, grown by refreshes
     assert(idx.first("k0") == -1)
     for (batch <- 0 until 20) {
-      (batch * 1000 until (batch + 1) * 1000).foreach(i => r.add(Array(s"k${i % 10000}", s"v$i")))
+      (batch * 1000 until (batch + 1) * 1000).foreach(i => r.append(Array(s"k${i % 10000}", s"v$i")))
       idx.refresh()
     }
     for (k <- 0 until 10000)
@@ -172,21 +130,21 @@ class RelSpec extends AnyFunSuite {
 
   test("HashIdx never returns a row that breaks its spec's eq") {
     // rows of a path ?x -> ?y -> ?x keyed on ?x alone
-    val r = Rel.of(Seq(Array("a", "b", "a"), Array("a", "c", "d"), Array("a", "e", "a"), Array("b", "c", "d")), 3)
+    val r = rel(3, Array("a", "b", "a"), Array("a", "c", "d"), Array("a", "e", "a"), Array("b", "c", "d"))
     val idx = new HashIdx(r, IdxSpec(Vector(0), PathEval.eqClass(Vector(Vr("x"), Vr("y"), Vr("x"))))).refresh()
     assert(probe(idx, "a").map(_.toVector) == Seq(Vector("a", "e", "a"), Vector("a", "b", "a")))
     assert(idx.first("b") == -1)
-    r.add(Array("b", "x", "y"))
+    r.append(Array("b", "x", "y"))
     idx.refresh()
     assert(idx.first("b") == -1)
   }
 
   test("HashIdx shows rows appended after a refresh only after the next one") {
-    val r = Rel.of(Seq(Array("a", "b", "1")), 3)
+    val r = rel(3, Array("a", "b", "1"))
     val idx = new HashIdx(r, IdxSpec(Vector(0, 1), null)).refresh()
     val ab = Array("a", "b")
-    (2 to 50).foreach(i => r.add(Array("a", "b", s"$i")))
-    r.add(Array("c", "d", "0"))
+    (2 to 50).foreach(i => r.append(Array("a", "b", s"$i")))
+    r.append(Array("c", "d", "0"))
     assert(chain(idx, idx.first(ab, Array(0, 1))).map(_(2)) == Seq("1"))
     assert(idx.first(Array("c", "d"), Array(0, 1)) == -1)
     idx.refresh()
@@ -196,13 +154,13 @@ class RelSpec extends AnyFunSuite {
 
   test("a key's hash is the hash of its values as a row, wherever they sit") {
     val row = Array("x", "a", "y", "b")
-    assert(Rel.hash(row, Array(1, 3)) == Rel.hash(Array("a", "b")))
-    assert(Rel.hash1("y") == Rel.hash(row, Array(2)) && Rel.hash1("y") == Rel.hash(Array("y")))
+    assert(Rel.hash(row, Array(1, 3)) == Rel.hash(Array("a", "b"), Array(0, 1)))
+    assert(Rel.hash1("y") == Rel.hash(row, Array(2)) && Rel.hash1("y") == Rel.hash(Array("y"), Array(0)))
   }
 
   test("JoinCache keeps separate indexes for the same columns under different eq") {
     val jc   = new JoinCache(true)
-    val r    = Rel.of(Seq(Array("a", "a"), Array("a", "b")), 2)
+    val r    = rel(2, Array("a", "a"), Array("a", "b"))
     val loop = jc.index(r, IdxSpec(Vector(0), Vector(0, 0))) // ?x -> ?x
     val all  = jc.index(r, 0)
     assert(jc.builds == 2 && jc.size == 2)
@@ -214,16 +172,16 @@ class RelSpec extends AnyFunSuite {
 
   test("JoinCache disabled rebuilds the index on every call") {
     val jc = new JoinCache(false)
-    val r  = Rel.of(Seq(Array("a", "1")), 2)
+    val r  = rel(2, Array("a", "1"))
     jc.index(r, 0); jc.index(r, 0); jc.index(r, 0)
     assert(jc.builds == 3)
   }
 
   test("JoinCache enabled builds once per (rel, col) and refreshes incrementally") {
     val jc = new JoinCache(true)
-    val r  = Rel.of(Seq(Array("a", "1")), 2)
+    val r  = rel(2, Array("a", "1"))
     val i1 = jc.index(r, 0)
-    r.add(Array("a", "2"))
+    r.append(Array("a", "2"))
     val i2 = jc.index(r, 0)
     assert(i1 eq i2)
     assert(jc.builds == 1)
@@ -234,8 +192,8 @@ class RelSpec extends AnyFunSuite {
 
   test("JoinCache distinguishes relations by identity, not content") {
     val jc = new JoinCache(true)
-    val r1 = Rel.of(Seq(Array("a", "1")), 2)
-    val r2 = Rel.of(Seq(Array("a", "1")), 2)
+    val r1 = rel(2, Array("a", "1"))
+    val r2 = rel(2, Array("a", "1"))
     jc.index(r1, 0); jc.index(r2, 0)
     assert(jc.builds == 2)
   }
